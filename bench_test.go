@@ -3,6 +3,8 @@
 //
 //   - BenchmarkTable1Generate — producing the benchmark programs of Table 1;
 //   - BenchmarkTable2Compile  — the "Compile time" column (parsing);
+//   - BenchmarkCParse         — the same parse on a 40k-line benchgen
+//     corpus, with allocations;
 //   - BenchmarkTable2Mono     — the "Mono time" column;
 //   - BenchmarkTable2Poly     — the "Poly time" column;
 //   - BenchmarkFigure6        — the full pipeline behind Figure 6;
@@ -88,6 +90,21 @@ func BenchmarkTable2Compile(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkCParse parses a seeded 40k-line benchgen corpus. The lexer
+// allocates nothing per token, so a per-token allocation shows up here
+// as a jump in B/op and allocs/op.
+func BenchmarkCParse(b *testing.B) {
+	src := benchgen.Generate(benchgen.ParallelCorpus(40000, 1))
+	b.ReportAllocs()
+	b.SetBytes(int64(len(src)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cfront.Parse("synth-40k.c", src); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -185,6 +185,13 @@ func (p *Parser) parseTypeName() (*Type, error) {
 	return typ, nil
 }
 
+// prefixOps maps the prefix operator tokens other than ++/-- to their
+// unary operators.
+var prefixOps = map[TokKind]UnaryOp{
+	AMP: UAddr, STAR: UDeref, PLUS: UPlus, MINUS: UNeg,
+	TILDE: UBNot, NOT: UNot,
+}
+
 func (p *Parser) parseUnary() (Expr, error) {
 	pos := p.tok.Pos
 	switch p.tok.Kind {
@@ -202,11 +209,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 		}
 		return &Unary{Op: op, X: x, Pos: pos}, nil
 	case AMP, STAR, PLUS, MINUS, TILDE, NOT:
-		ops := map[TokKind]UnaryOp{
-			AMP: UAddr, STAR: UDeref, PLUS: UPlus, MINUS: UNeg,
-			TILDE: UBNot, NOT: UNot,
-		}
-		op := ops[p.tok.Kind]
+		op := prefixOps[p.tok.Kind]
 		if err := p.next(); err != nil {
 			return nil, err
 		}

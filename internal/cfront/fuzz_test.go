@@ -13,6 +13,9 @@ func FuzzLexer(f *testing.F) {
 	f.Add("'c' 'x 0x1f 1e9 .5 ... -> <<= >>= ++ --")
 	f.Add("#include <stdio.h>\nint x;\n")
 	f.Add("\x00\xff\xfe")
+	f.Add("int café = 1;")
+	f.Add("int a \u2014 b;")
+	f.Add("int \xe9x;")
 	f.Fuzz(func(t *testing.T, src string) {
 		l := NewLexer("fuzz.c", src)
 		// Tokens are at least one byte wide, so len(src)+1 Next calls

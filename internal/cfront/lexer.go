@@ -1,8 +1,10 @@
 package cfront
 
 import (
+	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Lexer tokenizes C source. Preprocessor directives are skipped one line
@@ -114,12 +116,27 @@ func (l *Lexer) lineIndentCol() int {
 	return col
 }
 
-func isIdentStart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c))
-}
-
-func isIdentCont(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c)) || c >= '0' && c <= '9'
+// identChar returns the byte length of the identifier character at the
+// lexer's offset, or 0 if there is none. Digits only continue an
+// identifier. Besides ASCII letters and '_', any Unicode letter may
+// appear, as GCC and Clang allow; ASCII never reaches the decoder.
+func (l *Lexer) identChar(cont bool) int {
+	c := l.peek()
+	switch {
+	case c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z':
+		return 1
+	case isDigit(c):
+		if cont {
+			return 1
+		}
+		return 0
+	case c < utf8.RuneSelf:
+		return 0
+	}
+	if r, size := utf8.DecodeRuneInString(l.src[l.off:]); unicode.IsLetter(r) {
+		return size
+	}
+	return 0
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
@@ -137,20 +154,20 @@ func (l *Lexer) Next() (Token, error) {
 	if l.off >= len(l.src) {
 		return Token{Kind: EOF, Pos: p}, nil
 	}
-	c := l.peek()
-
-	switch {
-	case isIdentStart(c):
+	if n := l.identChar(false); n > 0 {
 		start := l.off
-		for l.off < len(l.src) && isIdentCont(l.peek()) {
-			l.advance()
+		for ; n > 0; n = l.identChar(true) {
+			l.advanceN(n)
 		}
 		text := l.src[start:l.off]
 		if kw, ok := keywords[text]; ok {
 			return Token{Kind: kw, Text: text, Pos: p}, nil
 		}
 		return Token{Kind: IDENT, Text: text, Pos: p}, nil
+	}
 
+	c := l.peek()
+	switch {
 	case isDigit(c) || c == '.' && isDigit(l.peekAt(1)):
 		return l.number(p)
 
@@ -162,36 +179,43 @@ func (l *Lexer) Next() (Token, error) {
 	}
 
 	// Operators and punctuation, longest match first.
-	three := l.slice(3)
-	switch three {
-	case "...", "<<=", ">>=":
-		l.advanceN(3)
-		kinds := map[string]TokKind{"...": ELLIPSIS, "<<=": SHLEQ, ">>=": SHREQ}
-		return Token{Kind: kinds[three], Text: three, Pos: p}, nil
+	for n := 3; n >= 1; n-- {
+		text := l.slice(n)
+		if k, ok := punctuators[text]; ok {
+			l.advanceN(n)
+			return Token{Kind: k, Text: text, Pos: p}, nil
+		}
 	}
-	two := l.slice(2)
-	twoKinds := map[string]TokKind{
-		"->": ARROW, "++": INC, "--": DEC, "<<": SHL, ">>": SHR,
-		"<=": LE, ">=": GE, "==": EQ, "!=": NE, "&&": ANDAND, "||": OROR,
-		"*=": MULEQ, "/=": DIVEQ, "%=": MODEQ, "+=": ADDEQ, "-=": SUBEQ,
-		"&=": ANDEQ, "^=": XOREQ, "|=": OREQ,
+	return Token{}, l.badChar(p)
+}
+
+// punctuators maps every operator and punctuation text to its kind.
+var punctuators = map[string]TokKind{
+	"(": LPAREN, ")": RPAREN, "{": LBRACE, "}": RBRACE,
+	"[": LBRACK, "]": RBRACK, ";": SEMI, ",": COMMA, ".": DOT,
+	"&": AMP, "*": STAR, "+": PLUS, "-": MINUS, "~": TILDE, "!": NOT,
+	"/": SLASH, "%": PERCENT, "<": LT, ">": GT, "^": CARET, "|": PIPE,
+	"?": QUESTION, ":": COLON, "=": ASSIGN,
+	"->": ARROW, "++": INC, "--": DEC, "<<": SHL, ">>": SHR,
+	"<=": LE, ">=": GE, "==": EQ, "!=": NE, "&&": ANDAND, "||": OROR,
+	"*=": MULEQ, "/=": DIVEQ, "%=": MODEQ, "+=": ADDEQ, "-=": SUBEQ,
+	"&=": ANDEQ, "^=": XOREQ, "|=": OREQ,
+	"...": ELLIPSIS, "<<=": SHLEQ, ">>=": SHREQ,
+}
+
+// badChar reports the character at the lexer's offset, which starts no
+// token. A non-ASCII rune is named by its code point; a byte that is not
+// valid UTF-8 is named by its value.
+func (l *Lexer) badChar(p Pos) error {
+	c := l.peek()
+	if c < utf8.RuneSelf {
+		return &SyntaxError{Pos: p, Msg: "unexpected character " + strings.TrimSpace(string(rune(c)))}
 	}
-	if k, ok := twoKinds[two]; ok {
-		l.advanceN(2)
-		return Token{Kind: k, Text: two, Pos: p}, nil
+	r, size := utf8.DecodeRuneInString(l.src[l.off:])
+	if r == utf8.RuneError && size <= 1 {
+		return &SyntaxError{Pos: p, Msg: fmt.Sprintf("invalid UTF-8 byte 0x%02X", c)}
 	}
-	oneKinds := map[byte]TokKind{
-		'(': LPAREN, ')': RPAREN, '{': LBRACE, '}': RBRACE,
-		'[': LBRACK, ']': RBRACK, ';': SEMI, ',': COMMA, '.': DOT,
-		'&': AMP, '*': STAR, '+': PLUS, '-': MINUS, '~': TILDE, '!': NOT,
-		'/': SLASH, '%': PERCENT, '<': LT, '>': GT, '^': CARET, '|': PIPE,
-		'?': QUESTION, ':': COLON, '=': ASSIGN,
-	}
-	if k, ok := oneKinds[c]; ok {
-		l.advance()
-		return Token{Kind: k, Text: string(rune(c)), Pos: p}, nil
-	}
-	return Token{}, &SyntaxError{Pos: p, Msg: "unexpected character " + strings.TrimSpace(string(rune(c)))}
+	return &SyntaxError{Pos: p, Msg: fmt.Sprintf("unexpected character %U %q", r, r)}
 }
 
 func (l *Lexer) slice(n int) string {

@@ -10,7 +10,10 @@
 // effectively did).
 package cfront
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Pos is a source position.
 type Pos struct {
@@ -19,11 +22,19 @@ type Pos struct {
 	Col  int
 }
 
+// String formats the position as file:line:col, or line:col when File
+// is empty.
 func (p Pos) String() string {
-	if p.File == "" {
-		return fmt.Sprintf("%d:%d", p.Line, p.Col)
+	var buf [64]byte
+	b := buf[:0]
+	if p.File != "" {
+		b = append(b, p.File...)
+		b = append(b, ':')
 	}
-	return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
+	b = strconv.AppendInt(b, int64(p.Line), 10)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(p.Col), 10)
+	return string(b)
 }
 
 // IsValid reports whether the position was set.
