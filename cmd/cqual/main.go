@@ -87,7 +87,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the report and diagnostics as JSON")
 	stats := flag.Bool("stats", false, "print solver statistics (system size, cycle condensation) to stderr")
 	jobs := flag.Int("jobs", 0, "constraint-generation workers (0 = GOMAXPROCS; results are identical for every value)")
-	solveJobs := flag.Int("solve-jobs", 0, "solver workers for mask classes and level sweeps (0 = GOMAXPROCS, 1 = sequential; results are identical for every value)")
+	solveJobs := flag.Int("solve-jobs", 0, "solver workers for connected regions (0 = GOMAXPROCS, 1 = sequential; results are identical for every value)")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON of the pipeline to this file (view in chrome://tracing or Perfetto)")
 	serve := flag.String("serve", "", "analyze via a running cquald daemon at this base URL instead of locally")
 	analysisFlag := flag.String("analysis", "const", "comma-separated qualifier analyses to run together (see -analyses)")
@@ -566,10 +566,9 @@ func printSolverStats(res *driver.Result) {
 	// Execution counters: how the solve ran, never what it computed
 	// (results are byte-identical at every -solve-jobs setting).
 	if st.Workers > 1 {
-		fmt.Fprintf(os.Stderr, "  parallel:     %d workers, %d class(es) fanned out, %d region(s), %d level sweep(s), %d sequential fallback(s)\n",
-			st.Workers, st.ParallelClasses, st.CCRegions, st.SweepLevels, st.SweepFallbacks)
+		fmt.Fprintf(os.Stderr, "  parallel:     %d workers, %d region(s)\n", st.Workers, st.CCRegions)
 	} else {
-		fmt.Fprintf(os.Stderr, "  parallel:     sequential solve (-solve-jobs 1 or below threshold)\n")
+		fmt.Fprintf(os.Stderr, "  parallel:     sequential solve (-solve-jobs 1, or no class split into enough regions)\n")
 	}
 	// Delta counters appear only when the run went through a retained
 	// session (driver.Session / cquald sessions); plain cqual runs solve

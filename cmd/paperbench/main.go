@@ -141,14 +141,11 @@ type newAnalysisJSON struct {
 
 // parallelPointJSON is one worker count on the parallel-solve curve.
 type parallelPointJSON struct {
-	Jobs            int     `json:"jobs"`
-	SolveMS         float64 `json:"solve_ms"`
-	Workers         int     `json:"workers"`
-	ParallelClasses int     `json:"parallel_classes"`
-	SweepLevels     int     `json:"sweep_levels"`
-	SweepFallbacks  int     `json:"sweep_fallbacks"`
-	CCRegions       int     `json:"cc_regions"`
-	Speedup         float64 `json:"speedup_vs_sequential"`
+	Jobs      int     `json:"jobs"`
+	SolveMS   float64 `json:"solve_ms"`
+	Workers   int     `json:"workers"`
+	CCRegions int     `json:"cc_regions"`
+	Speedup   float64 `json:"speedup_vs_sequential"`
 }
 
 // obsJSON is the -obs block of the -out schema: the flight recorder's
@@ -336,18 +333,14 @@ func main() {
 		for _, pt := range p.Points {
 			speedup := p.Speedup(pt)
 			f.Parallel.Points = append(f.Parallel.Points, parallelPointJSON{
-				Jobs:            pt.Jobs,
-				SolveMS:         pt.Solve.Seconds() * 1000,
-				Workers:         pt.Stats.Workers,
-				ParallelClasses: pt.Stats.ParallelClasses,
-				SweepLevels:     pt.Stats.SweepLevels,
-				SweepFallbacks:  pt.Stats.SweepFallbacks,
-				CCRegions:       pt.Stats.CCRegions,
-				Speedup:         speedup,
+				Jobs:      pt.Jobs,
+				SolveMS:   pt.Solve.Seconds() * 1000,
+				Workers:   pt.Stats.Workers,
+				CCRegions: pt.Stats.CCRegions,
+				Speedup:   speedup,
 			})
-			fmt.Printf("  -solve-jobs %-3d solve %8.1fms  %.2fx  (%d worker(s), %d class(es), %d region(s), %d level sweep(s), %d fallback(s))\n",
-				pt.Jobs, pt.Solve.Seconds()*1000, speedup,
-				pt.Stats.Workers, pt.Stats.ParallelClasses, pt.Stats.CCRegions, pt.Stats.SweepLevels, pt.Stats.SweepFallbacks)
+			fmt.Printf("  -solve-jobs %-3d solve %8.1fms  %.2fx  (%d worker(s), %d region(s))\n",
+				pt.Jobs, pt.Solve.Seconds()*1000, speedup, pt.Stats.Workers, pt.Stats.CCRegions)
 		}
 	}
 

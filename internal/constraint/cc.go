@@ -1,22 +1,22 @@
 package constraint
 
-// Connected-component (region) fan-out within one mask class.
+// Parallel solve: connected-component (region) fan-out within one mask
+// class.
 //
-// The parallel machinery so far — class fan-out (parallel.go) and
-// level-parallel sweeps (levels.go) — still leaves the dominant passes
-// of a large single-class solve sequential: Tarjan and the level
-// computation are both O(vars+edges) walks on the spine. Real corpora,
-// however, are not one connected blob. A large translation unit
-// decomposes into many thousands of small connected components —
-// per-function variable clusters joined only where declarations are
-// shared — and components are fully independent subproblems: no
-// ⊑-edge crosses them, by definition. So this file fans out *whole
-// components*: each worker pulls a batch of regions and runs the
-// entire per-region pipeline on each — Tarjan, constant-bound seeding,
-// both fixpoint sweeps, the solution broadcast — with no barriers
-// between stages and no merge step afterwards, because regions
-// partition the participants and every shared write (scc, lower,
-// upper, touched) lands on the region's own variables.
+// This is the solver's only parallel path. Its target is the dominant
+// passes of a large class — Tarjan, seeding, the two sweeps and the
+// broadcast are all O(vars+edges) walks. Real corpora are not one
+// connected blob: a large translation unit decomposes into many
+// thousands of small connected components — per-function variable
+// clusters joined only where declarations are shared — and components
+// are fully independent subproblems: no ⊑-edge crosses them, by
+// definition. So this file fans out *whole components*: each worker
+// pulls a batch of regions and runs the entire per-region pipeline on
+// each — Tarjan, constant-bound seeding, both fixpoint sweeps, the
+// solution broadcast — with no barriers between stages and no merge
+// step afterwards, because regions partition the participants and every
+// shared write (scc, lower, upper, touched) lands on the region's own
+// variables.
 //
 // The decomposition itself (union-find, region numbering, seed
 // bucketing) is a sequential pass, so it is computed once and cached
@@ -32,30 +32,84 @@ package constraint
 // region's root (path halving reparents interior nodes but never
 // changes a root), region ids are assigned in ascending first-node
 // order, and each region's internal solve is the sequential algorithm
-// verbatim over the region's slice of the class CSR. The values
-// written are therefore bit-for-bit the sequential solve's, the stat
-// contributions are order-independent integer sums, and the spine
-// emits the same spans — at any worker count, under the race
-// detector.
+// verbatim (tarjanCC, then the shared sweepClass) over the region's
+// slice of the class CSR. The values written are therefore bit-for-bit
+// the sequential solve's, the stat contributions are order-independent
+// integer sums, and the spine emits the same spans — at any worker
+// count, under the race detector.
 //
-// The path declines (returning the class to the level-parallel or
-// sequential sweeps) when the class is small, when there are fewer
-// than ccRegionMin regions per worker to balance, or when one region
-// holds most of the class — a worker would serialize on it, and wide
-// single-blob condensations are exactly what the level sweeps split
-// well. Declining writes nothing observable.
+// The path declines (returning the class to the sequential loop) when
+// the class is small, when there are fewer than ccRegionMin regions per
+// worker to balance, or when one region holds most of the class — a
+// worker would serialize on it. Declining writes nothing observable.
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/qual"
 )
 
-// ccRegionMin is the minimum number of connected components per worker
-// for the region fan-out to engage. A variable only so the determinism
-// tests can force the path onto small systems.
-var ccRegionMin = 8
+// The parallel thresholds are variables rather than constants only so
+// the determinism tests can force the parallel path onto small systems.
+var (
+	// parallelSolveMin is the variable-variable edge count below which
+	// SolveContext stays sequential even when more workers are allowed:
+	// dispatching a pool costs more than the solve itself on small
+	// systems.
+	parallelSolveMin = 2048
+	// ccClassMin is the participant count below which a class never
+	// tries the region fan-out.
+	ccClassMin = 4096
+	// ccRegionMin is the minimum number of connected components per
+	// worker for the region fan-out to engage.
+	ccRegionMin = 8
+	// chunkMin is the minimum number of items per goroutine in chunked.
+	chunkMin = 256
+)
+
+// SetSolveJobs bounds the solver parallelism of subsequent Solve
+// calls: n > 1 lets large classes fan their connected regions out to
+// at most n workers, n == 1 forces the sequential path, and n == 0
+// (the default) uses GOMAXPROCS. Output is byte-identical at any
+// setting; only wall time changes.
+func (s *System) SetSolveJobs(n int) { s.solveJobs = n }
+
+func (s *System) effectiveJobs() int {
+	switch {
+	case s.solveJobs == 0:
+		return runtime.GOMAXPROCS(0)
+	case s.solveJobs < 1:
+		return 1
+	}
+	return s.solveJobs
+}
+
+// chunked splits [0, total) across up to jobs goroutines (never fewer
+// than chunkMin items each), running the last chunk inline and
+// returning only when every chunk is done. fn must only write state
+// owned by its own items.
+func chunked(total, jobs int, fn func(lo, hi int)) {
+	nchunks := (total + chunkMin - 1) / chunkMin
+	if nchunks > jobs {
+		nchunks = jobs
+	}
+	if nchunks <= 1 {
+		fn(0, total)
+		return
+	}
+	var wg sync.WaitGroup
+	for ci := 0; ci < nchunks-1; ci++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(ci*total/nchunks, (ci+1)*total/nchunks)
+	}
+	fn((nchunks-1)*total/nchunks, total)
+	wg.Wait()
+}
 
 // ccTotals accumulates one worker's stat contributions; summed on the
 // spine after the pool drains.
@@ -63,10 +117,12 @@ type ccTotals struct {
 	comps, sccs, varsC, dropped int
 }
 
-// ccScratch holds the region decomposition, persisted on the System.
-// The arrays double as a cache: valid while (ncons, class, np) match
-// the prepared values, because the class CSR they were derived from is
-// a pure function of the append-only constraint list.
+// ccScratch holds one mask class's region decomposition, persisted on
+// the System (one per class index, so a multi-class re-solve keeps
+// every class's decomposition). The arrays double as a cache: valid
+// while (ncons, class, np) match the prepared values, because the class
+// CSR they were derived from is a pure function of the append-only
+// constraint list.
 type ccScratch struct {
 	parent  []int32 // union-find, then recycled as counting-sort cursor
 	ccOf    []int32 // local id -> dense region id
@@ -87,14 +143,14 @@ type ccScratch struct {
 	balanced   bool      // largest region small enough to fan out
 }
 
-// ensureCC grows (or first allocates) the region scratch for np
-// participants and the system's constant-bound instance counts.
-func (s *System) ensureCC(np, nlo, nup int) *ccScratch {
-	cs := s.ccs
-	if cs == nil {
-		cs = &ccScratch{}
-		s.ccs = cs
+// ensureCC grows (or first allocates) the region scratch of class
+// index ci for np participants and the system's constant-bound instance
+// counts.
+func (s *System) ensureCC(ci, np, nlo, nup int) *ccScratch {
+	for len(s.ccs) <= ci {
+		s.ccs = append(s.ccs, &ccScratch{})
 	}
+	cs := s.ccs[ci]
 	if len(cs.parent) < np {
 		slab := make([]int32, 6*np+3)
 		grab := func(l int) []int32 {
@@ -124,12 +180,12 @@ func (s *System) ensureCC(np, nlo, nup int) *ccScratch {
 // broadcast, stats — and returns the total component count for the
 // class span. On decline nothing observable has been written and the
 // caller proceeds with the usual per-class pipeline.
-func (s *System) solveClassCC(w *solveScratch, class, tc qual.Elem, np int, lower, upper []qual.Elem, jobs int) (int, bool) {
-	if np < levelSweepMin {
+func (s *System) solveClassCC(w *solveScratch, ci int, class, tc qual.Elem, np int, lower, upper []qual.Elem, jobs int) (int, bool) {
+	if np < ccClassMin {
 		return 0, false
 	}
 	ec := &s.ec
-	cs := s.ensureCC(np, len(ec.loVar), len(ec.upVar))
+	cs := s.ensureCC(ci, np, len(ec.loVar), len(ec.upVar))
 	if cs.validNcons != ec.ncons || cs.validClass != class || cs.validNP != np {
 		s.prepareRegions(w, cs, class, tc, np)
 		cs.validNcons, cs.validClass, cs.validNP = ec.ncons, class, np
@@ -192,8 +248,8 @@ func (s *System) solveClassCC(w *solveScratch, class, tc qual.Elem, np int, lowe
 				if hi > ncc {
 					hi = ncc
 				}
-				for ci := lo; ci < hi; ci++ {
-					s.solveRegion(ws, w, cs, ci, class, tc, lower, upper, &tt)
+				for ri := lo; ri < hi; ri++ {
+					s.solveRegion(ws, w, cs, ri, class, tc, lower, upper, &tt)
 				}
 			}
 			totals[wi] = tt
@@ -210,6 +266,9 @@ func (s *System) solveClassCC(w *solveScratch, class, tc qual.Elem, np int, lowe
 	}
 	s.stats.Components += ncomp
 	s.stats.CCRegions += ncc
+	if nw > s.stats.Workers {
+		s.stats.Workers = nw
+	}
 	return ncomp, true
 }
 
@@ -354,23 +413,17 @@ func (s *System) prepareRegions(w *solveScratch, cs *ccScratch, class, tc qual.E
 // restricted to the region. Shared writes (w.scc, lower, upper,
 // touched) land only on the region's own nodes, which no other region
 // shares.
-func (s *System) solveRegion(ws, w *solveScratch, cs *ccScratch, ci int, class, tc qual.Elem, lower, upper []qual.Elem, tt *ccTotals) {
+func (s *System) solveRegion(ws, w *solveScratch, cs *ccScratch, ri int, class, tc qual.Elem, lower, upper []qual.Elem, tt *ccTotals) {
 	ec := &s.ec
-	nodes := cs.ccNodes[cs.ccOff[ci]:cs.ccOff[ci+1]]
+	nodes := cs.ccNodes[cs.ccOff[ri]:cs.ccOff[ri+1]]
 	off, cTo, scc, part, lid, touched := w.off, w.cTo, w.scc, w.part, w.lid, w.touched
 
 	ncomp := tarjanCC(nodes, off, cTo, ws.sc, scc)
 	members, mEnd := ws.sc.members, ws.sc.mEnd
+	sccs, varsC := collapsed(mEnd)
 	tt.comps += ncomp
-	prevEnd := int32(0)
-	for c := 0; c < ncomp; c++ {
-		sz := mEnd[c] - prevEnd
-		prevEnd = mEnd[c]
-		if sz >= 2 {
-			tt.sccs++
-			tt.varsC += int(sz) - 1
-		}
-	}
+	tt.sccs += sccs
+	tt.varsC += varsC
 
 	cl, cu := ws.cl, ws.cu
 	for i := 0; i < ncomp; i++ {
@@ -378,58 +431,16 @@ func (s *System) solveRegion(ws, w *solveScratch, cs *ccScratch, ci int, class, 
 		cu[i] = tc
 	}
 	hasLower := false
-	for _, i := range cs.loIdx[cs.loOff[ci]:cs.loOff[ci+1]] {
+	for _, i := range cs.loIdx[cs.loOff[ri]:cs.loOff[ri+1]] {
 		cl[scc[lid[ec.loVar[i]]]] |= ec.loElem[i] & class
 		hasLower = true
 	}
 	hasUpper := false
-	for _, i := range cs.upIdx[cs.upOff[ci]:cs.upOff[ci+1]] {
+	for _, i := range cs.upIdx[cs.upOff[ri]:cs.upOff[ri+1]] {
 		cu[scc[lid[ec.upVar[i]]]] &= ec.upC[i] | ^(ec.upMask[i] & class)
 		hasUpper = true
 	}
-
-	if hasLower {
-		for c := ncomp - 1; c >= 0; c-- {
-			lval := cl[c]
-			if lval == 0 {
-				continue
-			}
-			mStart := int32(0)
-			if c > 0 {
-				mStart = mEnd[c-1]
-			}
-			for mi := mStart; mi < mEnd[c]; mi++ {
-				u := members[mi]
-				for e := off[u]; e < off[u+1]; e++ {
-					cl[scc[cTo[e]]] |= lval
-				}
-			}
-		}
-	}
-	if hasUpper {
-		dropped := 0
-		for c := 0; c < ncomp; c++ {
-			acc := cu[c]
-			mStart := int32(0)
-			if c > 0 {
-				mStart = mEnd[c-1]
-			}
-			for mi := mStart; mi < mEnd[c]; mi++ {
-				u := members[mi]
-				for e := off[u]; e < off[u+1]; e++ {
-					wc := scc[cTo[e]]
-					if wc == int32(c) {
-						dropped++
-					}
-					acc &= cu[wc]
-				}
-			}
-			cu[c] = acc
-		}
-		tt.dropped += dropped
-	} else {
-		tt.dropped += intraScan(ncomp, off, cTo, scc, members, mEnd)
-	}
+	tt.dropped += sweepClass(ncomp, hasLower, hasUpper, cl, cu, off, cTo, scc, members, mEnd)
 
 	for _, l := range nodes {
 		v := part[l]

@@ -200,14 +200,12 @@ type System struct {
 
 	// Solver scratch persists across Solve calls (schemes and
 	// incremental servers re-solve systems many times); see
-	// solveScratch for the re-use invariants. When the parallel class
-	// pool runs, pool holds one scratch per worker (slot 0 aliases
-	// scratch) and cres one recycled result buffer per mask class; see
-	// parallel.go.
+	// solveScratch for the re-use invariants. When the region fan-out
+	// runs, pool holds one scratch per worker (slot 0 aliases scratch)
+	// and ccs the cached region decomposition of each class; see cc.go.
 	scratch   *solveScratch
 	pool      []*solveScratch
-	cres      []classResult
-	ccs       *ccScratch
+	ccs       []*ccScratch
 	solBuf    []qual.Elem // lower|upper halves, reused across solves
 	solveJobs int
 
@@ -418,17 +416,22 @@ func (s *System) SolveContext(ctx context.Context) []*Unsat {
 	}
 	sol := s.solBuf[:2*n]
 	lower, upper := sol[:n:n], sol[n:2*n:2*n]
+
+	// Large systems may fan each class's connected regions out to a
+	// worker pool (cc.go); everything else about the solve is the
+	// sequential loop below. Solutions, spans, and diagnostics are
+	// byte-identical at any worker count.
+	jobs := 1
+	if j := s.effectiveJobs(); j > 1 && len(eFrom) >= parallelSolveMin {
+		jobs = j
+	}
 	// Every variable starts at (⊥, top); each class then meets its
 	// participants' class bits down to the solved values, so variables a
 	// class never relates (and lattice components outside every class)
 	// stay put without any per-class broadcast over all n variables.
 	// The re-init is chunked across workers on large systems — constant
 	// disjoint writes, so order cannot matter.
-	initJobs := 1
-	if jobs := s.effectiveJobs(); jobs > 1 && len(ec.eFrom) >= parallelSolveMin {
-		initJobs = jobs
-	}
-	chunked(n, initJobs, func(lo, hi, _ int) {
+	chunked(n, jobs, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			lower[v] = 0
 			upper[v] = top
@@ -449,24 +452,7 @@ func (s *System) SolveContext(ctx context.Context) []*Unsat {
 		w = s.ensureScratch(n, len(eFrom))
 	}
 
-	// Large systems solve in parallel (parallel.go): several classes fan
-	// out to a bounded worker pool; a single large class — the common
-	// shape for C corpora, whose subtyping edges all carry the full
-	// product mask — keeps the sequential spine below but runs its
-	// seed, sweep, and broadcast passes on worker chunks (clJobs > 1).
-	// Solutions, spans, and diagnostics are byte-identical to the
-	// sequential loop at any worker count.
-	clJobs := 1
-	if jobs := s.effectiveJobs(); jobs > 1 && len(eFrom) >= parallelSolveMin {
-		if len(classes) > 1 {
-			s.solveClassesParallel(tr, classes, lower, upper, jobs)
-			return s.finishSolve(lower, upper)
-		}
-		clJobs = jobs
-		s.stats.Workers = jobs
-	}
-
-	for _, class := range classes {
+	for ci, class := range classes {
 		tc := top & class
 		sp := tr.Start("solver", "solve.class",
 			obs.String("mask", fmt.Sprintf("%#x", uint64(class))))
@@ -507,8 +493,8 @@ func (s *System) SolveContext(ctx context.Context) []*Unsat {
 		// components solves them whole on the worker pool — Tarjan,
 		// sweeps, and broadcast per region, skipping the rest of this
 		// loop body (cc.go). Declines on small or single-blob classes.
-		if clJobs > 1 {
-			if ncomp, ok := s.solveClassCC(w, class, tc, np, lower, upper, clJobs); ok {
+		if jobs > 1 {
+			if ncomp, ok := s.solveClassCC(w, ci, class, tc, np, lower, upper, jobs); ok {
 				sp.SetAttr(obs.Int("edges", kept), obs.Int("vars", np),
 					obs.Int("components", ncomp))
 				sp.End()
@@ -519,20 +505,10 @@ func (s *System) SolveContext(ctx context.Context) []*Unsat {
 		members, mEnd := sc.members, sc.mEnd
 		sp.SetAttr(obs.Int("edges", kept), obs.Int("vars", np),
 			obs.Int("components", ncomp))
-
-		// Condensation counters. Every local id participates, and
-		// tarjan records each component's members contiguously, so the
-		// run lengths in mEnd are the component sizes.
+		sccs, varsC := collapsed(mEnd)
 		s.stats.Components += ncomp
-		prevEnd := int32(0)
-		for c := 0; c < ncomp; c++ {
-			sz := mEnd[c] - prevEnd
-			prevEnd = mEnd[c]
-			if sz >= 2 {
-				s.stats.SCCsCollapsed++
-				s.stats.VarsCollapsed += int(sz) - 1
-			}
-		}
+		s.stats.SCCsCollapsed += sccs
+		s.stats.VarsCollapsed += varsC
 
 		// Constant bounds attach to the variable's component: every
 		// member of a component is equal on every component of the
@@ -546,145 +522,138 @@ func (s *System) SolveContext(ctx context.Context) []*Unsat {
 			cl[i] = 0
 			cu[i] = tc
 		}
-		if clJobs > 1 {
-			hasLower, hasUpper = s.seedClassInline(w, class, tc, lower, upper, clJobs)
-		} else {
-			for i, v := range ec.loVar {
-				if seed := ec.loElem[i] & class; seed != 0 {
-					if touched[v] {
-						cl[scc[lid[v]]] |= seed
-						hasLower = true
-					} else {
-						lower[v] |= seed
-					}
-				}
-			}
-			for i, v := range ec.upVar {
-				if ec.upMask[i]&^ec.upC[i]&tc == 0 {
-					continue // bound clears nothing in this class
-				}
-				bound := ec.upC[i] | ^(ec.upMask[i] & class)
+		for i, v := range ec.loVar {
+			if seed := ec.loElem[i] & class; seed != 0 {
 				if touched[v] {
-					cu[scc[lid[v]]] &= bound
-					hasUpper = true
+					cl[scc[lid[v]]] |= seed
+					hasLower = true
 				} else {
-					upper[v] &= bound
+					lower[v] |= seed
 				}
 			}
 		}
-
-		// Tarjan numbers components in reverse topological order: every
-		// edge leaving a component targets a lower-numbered one. The
-		// least and greatest fixpoints therefore reduce to one linear
-		// sweep each — lower bounds flow down the numbering, upper
-		// bounds are gathered coming up — with every edge relaxed
-		// exactly once and no worklist. Edges inside a component stay
-		// harmless (x |= x, x &= x). Large wide condensations run the
-		// sweeps level-parallel instead (levels.go).
-		ranLevels := false
-		if clJobs > 1 && np >= levelSweepMin && (hasLower || hasUpper) {
-			lv := w.ensureLevels(np)
-			nlev := lv.computeLevels(ncomp, off, cTo, scc, members, mEnd)
-			if ncomp >= nlev*levelWidthMin {
-				ranLevels = true
-				s.stats.SweepLevels += nlev
-				if hasLower {
-					lv.sweepLower(nlev, cl, scc, off, cTo, members, mEnd, clJobs)
-				}
-				if hasUpper {
-					s.stats.EdgesDropped += lv.sweepUpper(nlev, cu, scc, off, cTo, members, mEnd, clJobs)
-				} else {
-					s.stats.EdgesDropped += intraScan(ncomp, off, cTo, scc, members, mEnd)
-				}
+		for i, v := range ec.upVar {
+			if ec.upMask[i]&^ec.upC[i]&tc == 0 {
+				continue // bound clears nothing in this class
+			}
+			bound := ec.upC[i] | ^(ec.upMask[i] & class)
+			if touched[v] {
+				cu[scc[lid[v]]] &= bound
+				hasUpper = true
+			} else {
+				upper[v] &= bound
 			}
 		}
-		if clJobs > 1 && !ranLevels {
-			s.stats.SweepFallbacks++
-		}
-		if !ranLevels && hasLower {
-			for c := ncomp - 1; c >= 0; c-- {
-				lv := cl[c]
-				if lv == 0 {
-					continue
-				}
-				mStart := int32(0)
-				if c > 0 {
-					mStart = mEnd[c-1]
-				}
-				for mi := mStart; mi < mEnd[c]; mi++ {
-					u := members[mi]
-					for e := off[u]; e < off[u+1]; e++ {
-						cl[scc[cTo[e]]] |= lv
-					}
-				}
-			}
-		}
-		// The upper sweep already loads every edge's target component, so
-		// the tautological-edge counter rides along; without upper seeds
-		// a dedicated scan over the collapsed components (the only place
-		// such edges can exist — AddMasked rejects variable self-loops)
-		// supplies it.
-		if !ranLevels && hasUpper {
-			dropped := 0
-			for c := 0; c < ncomp; c++ {
-				acc := cu[c]
-				mStart := int32(0)
-				if c > 0 {
-					mStart = mEnd[c-1]
-				}
-				for mi := mStart; mi < mEnd[c]; mi++ {
-					u := members[mi]
-					for e := off[u]; e < off[u+1]; e++ {
-						w := scc[cTo[e]]
-						if w == int32(c) {
-							dropped++
-						}
-						acc &= cu[w]
-					}
-				}
-				cu[c] = acc
-			}
-			s.stats.EdgesDropped += dropped
-		} else if !ranLevels {
-			prevEnd := int32(0)
-			for c := 0; c < ncomp; c++ {
-				mStart := prevEnd
-				prevEnd = mEnd[c]
-				if prevEnd-mStart < 2 {
-					continue
-				}
-				for mi := mStart; mi < prevEnd; mi++ {
-					u := members[mi]
-					for e := off[u]; e < off[u+1]; e++ {
-						if scc[cTo[e]] == int32(c) {
-							s.stats.EdgesDropped++
-						}
-					}
-				}
-			}
-		}
+		s.stats.EdgesDropped += sweepClass(ncomp, hasLower, hasUpper, cl, cu, off, cTo, scc, members, mEnd)
 
 		// Broadcast the class's share of the solution to the
 		// participants (non-participants already hold their final
 		// values); classes are disjoint, so the per-class values
 		// combine exactly. The participant flags reset here, restoring
 		// classAdj's precondition for the next class.
-		if clJobs > 1 {
-			broadcastClassInline(part, scc, cl, cu, lower, upper, touched, tc, clJobs)
-		} else {
-			for i, v := range part {
-				lower[v] |= cl[scc[i]]
-				upper[v] &= cu[scc[i]] | ^tc
-				touched[v] = false
-			}
+		for i, v := range part {
+			lower[v] |= cl[scc[i]]
+			upper[v] &= cu[scc[i]] | ^tc
+			touched[v] = false
 		}
 		sp.End()
 	}
 	return s.finishSolve(lower, upper)
 }
 
+// collapsed reports a condensation's multi-variable components and the
+// variable instances they merged away. Tarjan records each component's
+// members contiguously, so the run lengths in mEnd are the component
+// sizes.
+func collapsed(mEnd []int32) (sccs, vars int) {
+	prev := int32(0)
+	for _, end := range mEnd {
+		if sz := end - prev; sz >= 2 {
+			sccs++
+			vars += int(sz) - 1
+		}
+		prev = end
+	}
+	return sccs, vars
+}
+
+// sweepClass runs both fixpoints over one condensed class (or one
+// region of it, cc.go) and returns the number of tautological edges —
+// those inside a component, the EdgesDropped stat.
+//
+// Tarjan numbers components in reverse topological order: every edge
+// leaving a component targets a lower-numbered one. The least and
+// greatest fixpoints therefore reduce to one linear sweep each — lower
+// bounds flow down the numbering, upper bounds are gathered coming up —
+// with every edge relaxed exactly once and no worklist. Edges inside a
+// component stay harmless (x |= x, x &= x).
+func sweepClass(ncomp int, hasLower, hasUpper bool, cl, cu []qual.Elem, off, cTo, scc, members, mEnd []int32) int {
+	if hasLower {
+		for c := ncomp - 1; c >= 0; c-- {
+			lv := cl[c]
+			if lv == 0 {
+				continue
+			}
+			mStart := int32(0)
+			if c > 0 {
+				mStart = mEnd[c-1]
+			}
+			for mi := mStart; mi < mEnd[c]; mi++ {
+				u := members[mi]
+				for e := off[u]; e < off[u+1]; e++ {
+					cl[scc[cTo[e]]] |= lv
+				}
+			}
+		}
+	}
+	// The upper sweep already loads every edge's target component, so
+	// the tautological-edge counter rides along; without upper seeds a
+	// dedicated scan over the collapsed components (the only place such
+	// edges can exist — AddMasked rejects variable self-loops) supplies
+	// it.
+	dropped := 0
+	if hasUpper {
+		for c := 0; c < ncomp; c++ {
+			acc := cu[c]
+			mStart := int32(0)
+			if c > 0 {
+				mStart = mEnd[c-1]
+			}
+			for mi := mStart; mi < mEnd[c]; mi++ {
+				u := members[mi]
+				for e := off[u]; e < off[u+1]; e++ {
+					w := scc[cTo[e]]
+					if w == int32(c) {
+						dropped++
+					}
+					acc &= cu[w]
+				}
+			}
+			cu[c] = acc
+		}
+		return dropped
+	}
+	prevEnd := int32(0)
+	for c := 0; c < ncomp; c++ {
+		mStart := prevEnd
+		prevEnd = mEnd[c]
+		if prevEnd-mStart < 2 {
+			continue
+		}
+		for mi := mStart; mi < prevEnd; mi++ {
+			u := members[mi]
+			for e := off[u]; e < off[u+1]; e++ {
+				if scc[cTo[e]] == int32(c) {
+					dropped++
+				}
+			}
+		}
+	}
+	return dropped
+}
+
 // finishSolve installs the computed solution and runs the violation
-// scan shared by the sequential and parallel class paths.
+// scan.
 func (s *System) finishSolve(lower, upper []qual.Elem) []*Unsat {
 	ec := &s.ec
 	s.lower, s.upper, s.solved = lower, upper, true

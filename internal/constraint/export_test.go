@@ -1,15 +1,15 @@
 package constraint
 
 // SetParallelMinsForTest lowers the thresholds that gate the parallel
-// class solve, the delta-path class fan-out, the level-parallel
-// sweeps, and the region fan-out, so tests can force those paths onto
-// small systems. It returns a function restoring the previous values.
-// Tests using it must not run with t.Parallel — the thresholds are
-// package state.
-func SetParallelMinsForTest(solveMin, deltaMin, sweepMin, widthMin, chunkMin, regionMin int) func() {
-	pSolve, pDelta, pSweep, pWidth, pChunk, pRegion := parallelSolveMin, deltaParallelMin, levelSweepMin, levelWidthMin, levelChunkMin, ccRegionMin
-	parallelSolveMin, deltaParallelMin, levelSweepMin, levelWidthMin, levelChunkMin, ccRegionMin = solveMin, deltaMin, sweepMin, widthMin, chunkMin, regionMin
+// solve (the system edge count, the class size and regions per worker
+// of the region fan-out, and the chunk size of the init pass), so tests
+// can force the parallel path onto small systems. It returns a function
+// restoring the previous values. Tests using it must not run with
+// t.Parallel — the thresholds are package state.
+func SetParallelMinsForTest(solveMin, classMin, regionMin, chunk int) func() {
+	pSolve, pClass, pRegion, pChunk := parallelSolveMin, ccClassMin, ccRegionMin, chunkMin
+	parallelSolveMin, ccClassMin, ccRegionMin, chunkMin = solveMin, classMin, regionMin, chunk
 	return func() {
-		parallelSolveMin, deltaParallelMin, levelSweepMin, levelWidthMin, levelChunkMin, ccRegionMin = pSolve, pDelta, pSweep, pWidth, pChunk, pRegion
+		parallelSolveMin, ccClassMin, ccRegionMin, chunkMin = pSolve, pClass, pRegion, pChunk
 	}
 }

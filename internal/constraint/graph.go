@@ -78,22 +78,12 @@ type SolveStats struct {
 	// masks induced (1 when every edge carries the same mask).
 	MaskClasses int
 
-	// Parallel-solve counters. Workers is the solver goroutine count the
-	// last solve actually used (1 for a sequential solve);
-	// ParallelClasses counts the mask classes dispatched to the worker
-	// pool (0 when the solve ran sequentially). SweepLevels sums the
-	// topological levels processed by level-parallel sweeps, and
-	// SweepFallbacks counts the classes with edges whose sweeps ran
-	// sequentially — too small or too chain-shaped for the level
-	// machinery to pay (see levels.go).
-	// CCRegions counts the connected components fanned out whole to the
-	// worker pool by the within-class region solve (cc.go); 0 when no
-	// class took that path.
-	Workers         int
-	ParallelClasses int
-	SweepLevels     int
-	SweepFallbacks  int
-	CCRegions       int
+	// Parallel-solve counters. Workers is the size of the largest
+	// region pool the last solve ran (1 when no class fanned out);
+	// CCRegions counts the connected components fanned out whole to
+	// that pool (cc.go), 0 when no class took that path.
+	Workers   int
+	CCRegions int
 
 	// Delta re-solve counters, populated only when the solve ran through
 	// a Session (zero for plain Solve calls, so cold output is
@@ -157,7 +147,7 @@ func popcount(e qual.Elem) int {
 }
 
 // distinctMasks collects the distinct edge masks in first-occurrence
-// order, capped once every mask pattern must already have been seen.
+// order.
 func distinctMasks(mask []qual.Elem) []qual.Elem {
 	var out []qual.Elem
 	seen := make(map[qual.Elem]bool, 8)
@@ -208,13 +198,12 @@ type solveScratch struct {
 	touched   []bool
 	cl, cu    []qual.Elem
 	buckets   [][]int32
-	lv        *levelScratch // level-parallel sweep arrays; nil until a class qualifies
 }
 
 // ensureScratch grows (or first allocates) the System's sequential
-// scratch for n variables and m variable-variable edges; the parallel
-// class pool grows one scratch per worker through growScratch, with
-// pool slot 0 aliasing this one.
+// scratch for n variables and m variable-variable edges; the region
+// fan-out grows one scratch per worker through growScratch, with pool
+// slot 0 aliasing this one.
 func (s *System) ensureScratch(n, m int) *solveScratch {
 	s.scratch = growScratch(s.scratch, n, m)
 	return s.scratch

@@ -111,13 +111,12 @@ func buildOracleSystem(set *qual.Set, nv int, frags []*oracleFrag) (*constraint.
 func TestDeltaOracleStress(t *testing.T) { runDeltaOracle(t, 0) }
 
 // TestDeltaOracleStressParallel re-runs the oracle with the parallel
-// thresholds floored and every solve fanned out: the session's delta
-// path distributes classes across workers, and its cold-solve
-// fallbacks take the parallel class solve (including the level
-// sweeps). The cold reference system stays sequential, so the oracle
+// thresholds floored: the session's cold-solve fallbacks take the
+// region fan-out wherever a class splits into enough connected
+// regions. The cold reference system stays sequential, so the oracle
 // checks parallel-vs-sequential equality on every round.
 func TestDeltaOracleStressParallel(t *testing.T) {
-	defer constraint.SetParallelMinsForTest(1, 1, 1, 1, 2, 1)()
+	defer constraint.SetParallelMinsForTest(1, 1, 1, 2)()
 	runDeltaOracle(t, 8)
 }
 
@@ -131,7 +130,7 @@ func runDeltaOracle(t *testing.T, jobs int) {
 		t.Fatal(err)
 	}
 	full := set.FullMask()
-	hits, fallbacks, fanned := 0, 0, 0
+	hits, fallbacks, fanned := 0, 0, 0 // fanned: cold fallbacks that took the region fan-out
 	for trial := 0; trial < 120; trial++ {
 		rng := rand.New(rand.NewSource(1000 + int64(trial)))
 		nv := 8 + rng.Intn(24)
@@ -181,9 +180,6 @@ func runDeltaOracle(t *testing.T, jobs int) {
 		}
 		var active []*oracleFrag
 		sess := constraint.NewSession(set)
-		if jobs > 0 {
-			sess.SetSolveJobs(jobs)
-		}
 		rounds := 5 + rng.Intn(4)
 		for round := 0; round < rounds; round++ {
 			if round > 0 {
@@ -216,11 +212,11 @@ func runDeltaOracle(t *testing.T, jobs int) {
 			d := sess.Delta()
 			if d.Applied {
 				hits++
-				if sysDelta.Stats().ParallelClasses > 0 {
-					fanned++
-				}
 			} else if d.Fallback != "first-solve" {
 				fallbacks++
+				if sysDelta.Stats().CCRegions > 0 {
+					fanned++
+				}
 			}
 
 			for v := 0; v < nv; v++ {
@@ -239,8 +235,8 @@ func runDeltaOracle(t *testing.T, jobs int) {
 			if jobs > 0 {
 				// The parallel-execution counters are the one part of the
 				// stats allowed to differ across worker counts.
-				gs.Workers, gs.ParallelClasses, gs.SweepLevels, gs.SweepFallbacks, gs.CCRegions = 0, 0, 0, 0, 0
-				ws.Workers, ws.ParallelClasses, ws.SweepLevels, ws.SweepFallbacks, ws.CCRegions = 0, 0, 0, 0, 0
+				gs.Workers, gs.CCRegions = 0, 0
+				ws.Workers, ws.CCRegions = 0, 0
 			}
 			if gs != ws {
 				t.Fatalf("trial %d round %d (%+v): stats mismatch\n got: %+v\nwant: %+v", trial, round, d, gs, ws)
@@ -255,7 +251,7 @@ func runDeltaOracle(t *testing.T, jobs int) {
 		t.Fatal("fallback path never taken across all trials")
 	}
 	if jobs > 0 && fanned == 0 {
-		t.Fatal("delta class fan-out never ran across all trials")
+		t.Fatal("no cold fallback took the region fan-out across all trials")
 	}
-	t.Logf("delta oracle: %d hits (%d fanned out), %d fallbacks", hits, fanned, fallbacks)
+	t.Logf("delta oracle: %d hits, %d fallbacks (%d fanned out)", hits, fallbacks, fanned)
 }

@@ -1,11 +1,11 @@
 package constraint_test
 
-// Determinism tests for the parallel solve paths (parallel.go,
-// levels.go): at any -solve-jobs setting the solutions, Unsat reports
+// Determinism tests for the parallel solve path (the region fan-out,
+// cc.go): at any -solve-jobs setting the solutions, Unsat reports
 // (blame paths included), stats, and traces must be byte-identical to
 // the sequential solve. The thresholds are floored through the test
-// hook so the class fan-out and the level sweeps run on generator-
-// sized systems; `go test -race` then doubles as the data-race proof.
+// hook so the region fan-out runs on generator-sized systems;
+// `go test -race` then doubles as the data-race proof.
 
 import (
 	"bytes"
@@ -23,11 +23,14 @@ import (
 // parallelCycleCfgs are cycle-heavy generator shapes spanning the
 // interesting regimes: many multi-variable SCCs, structure-level masks
 // (several independent classes), and a chain-dominated graph whose
-// condensation is deep rather than wide.
+// condensation is deep rather than wide. Cross edges stay sparse so
+// every class splits into many connected regions — the shape the
+// region fan-out parallelizes; denser cross edges fuse a class into one
+// blob, which the fan-out declines.
 var parallelCycleCfgs = []benchgen.CycleConfig{
-	{Vars: 800, CycleFrac: 0.8, CycleLen: 6, CrossEdges: 400, MaskedFrac: 0.4, Seed: 11},
-	{Vars: 800, CycleFrac: 0.5, CycleLen: 4, CrossEdges: 500, MaskedFrac: 0.9, StructMasks: true, Seed: 12},
-	{Vars: 600, CycleFrac: 0, CycleLen: 8, CrossEdges: 150, MaskedFrac: 0.3, BitSeeds: true, Seed: 13},
+	{Vars: 800, CycleFrac: 0.8, CycleLen: 6, CrossEdges: 40, MaskedFrac: 0.4, Seed: 11},
+	{Vars: 800, CycleFrac: 0.5, CycleLen: 4, CrossEdges: 20, MaskedFrac: 0.9, StructMasks: true, Seed: 12},
+	{Vars: 600, CycleFrac: 0, CycleLen: 8, CrossEdges: 20, MaskedFrac: 0.3, BitSeeds: true, Seed: 13},
 }
 
 // buildParallelCase generates one cycle system and plants a
@@ -49,7 +52,7 @@ func buildParallelCase(t *testing.T, set *qual.Set, cfg benchgen.CycleConfig) *c
 // vary). It also asserts the parallel paths actually ran — a test
 // that silently fell back to the sequential loop would prove nothing.
 func TestParallelSolveDeterminism(t *testing.T) {
-	defer constraint.SetParallelMinsForTest(1, 1, 1, 1, 2, 1)()
+	defer constraint.SetParallelMinsForTest(1, 1, 1, 2)()
 	set := set2(t)
 	for _, cfg := range parallelCycleCfgs {
 		ref := buildParallelCase(t, set, cfg)
@@ -59,7 +62,7 @@ func TestParallelSolveDeterminism(t *testing.T) {
 			t.Fatalf("cfg %+v: planted contradiction not reported", cfg)
 		}
 		ws := ref.Stats()
-		if ws.Workers != 1 || ws.ParallelClasses != 0 {
+		if ws.Workers != 1 || ws.CCRegions != 0 {
 			t.Fatalf("cfg %+v: sequential reference took the parallel path: %+v", cfg, ws)
 		}
 		for _, jobs := range []int{2, 8} {
@@ -78,10 +81,10 @@ func TestParallelSolveDeterminism(t *testing.T) {
 				t.Fatalf("cfg %+v jobs=%d: unsat mismatch\n got: %v\nwant: %v", cfg, jobs, gotUnsat, wantUnsat)
 			}
 			gs := sys.Stats()
-			if gs.Workers <= 1 || gs.ParallelClasses == 0 {
+			if gs.Workers <= 1 || gs.CCRegions == 0 {
 				t.Fatalf("cfg %+v jobs=%d: parallel path did not run: %+v", cfg, jobs, gs)
 			}
-			gs.Workers, gs.ParallelClasses, gs.SweepLevels, gs.SweepFallbacks, gs.CCRegions = ws.Workers, ws.ParallelClasses, ws.SweepLevels, ws.SweepFallbacks, ws.CCRegions
+			gs.Workers, gs.CCRegions = ws.Workers, ws.CCRegions
 			if gs != ws {
 				t.Fatalf("cfg %+v jobs=%d: stats mismatch\n got: %+v\nwant: %+v", cfg, jobs, gs, ws)
 			}
@@ -89,40 +92,20 @@ func TestParallelSolveDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelSolveLevelSweeps pins the level-parallel sweep tier: on
-// a wide cycle-heavy graph with the thresholds floored, at least one
-// class must take the level path, and the results must still match the
-// sequential solve exactly.
-func TestParallelSolveLevelSweeps(t *testing.T) {
-	// regionMin stays prohibitive: this test pins the level-sweep tier,
-	// which only runs on classes the region fan-out declines.
-	defer constraint.SetParallelMinsForTest(1, 1, 1, 1, 2, 1<<30)()
+// TestParallelSolveDeclinedWorkers pins what Workers reports when the
+// parallel path is allowed but no class fans out: a system large
+// enough to pass the edge threshold but below the region fan-out's
+// class size solves sequentially, and its stats must say so.
+func TestParallelSolveDeclinedWorkers(t *testing.T) {
 	set := set2(t)
-	cfg := benchgen.CycleConfig{Vars: 2000, CycleFrac: 0.6, CycleLen: 5, CrossEdges: 1500, MaskedFrac: 0.5, Seed: 21}
-	ref, _ := benchgen.CycleSystem(set, cfg)
-	ref.SetSolveJobs(1)
-	if errs := ref.Solve(); errs != nil {
-		t.Fatalf("generated system unsatisfiable: %v", errs)
+	sys, _ := benchgen.CycleSystem(set, benchgen.CycleConfig{Vars: 3000, CycleFrac: 0.5, CycleLen: 6, CrossEdges: 1000, Seed: 41})
+	if n := sys.NumConstraints(); n < 2048 {
+		t.Fatalf("system too small to reach the parallel path: %d constraints", n)
 	}
-	sys, _ := benchgen.CycleSystem(set, cfg)
 	sys.SetSolveJobs(8)
-	if errs := sys.Solve(); errs != nil {
-		t.Fatalf("parallel solve reports unsat on a satisfiable system: %v", errs)
-	}
-	gs := sys.Stats()
-	if gs.SweepLevels == 0 {
-		t.Fatalf("no class took the level-sweep path: %+v", gs)
-	}
-	for v := 0; v < sys.NumVars(); v++ {
-		if got, want := sys.Lower(constraint.Var(v)), ref.Lower(constraint.Var(v)); got != want {
-			t.Fatalf("lower(κ%d)=%#x want %#x", v, uint64(got), uint64(want))
-		}
-		if got, want := sys.Upper(constraint.Var(v)), ref.Upper(constraint.Var(v)); got != want {
-			t.Fatalf("upper(κ%d)=%#x want %#x", v, uint64(got), uint64(want))
-		}
-	}
-	if got, want := sys.Stats().EdgesDropped, ref.Stats().EdgesDropped; got != want {
-		t.Fatalf("EdgesDropped=%d want %d", got, want)
+	sys.Solve()
+	if st := sys.Stats(); st.Workers != 1 || st.CCRegions != 0 {
+		t.Fatalf("declined fan-out reports a worker pool: %+v", st)
 	}
 }
 
@@ -132,7 +115,7 @@ func TestParallelSolveLevelSweeps(t *testing.T) {
 // pool. Solutions, Unsat reports, stats, and traces must match the
 // sequential solve exactly, and the path must actually have run.
 func TestParallelSolveRegions(t *testing.T) {
-	defer constraint.SetParallelMinsForTest(1, 1, 1, 1, 2, 1)()
+	defer constraint.SetParallelMinsForTest(1, 1, 1, 2)()
 	set := set2(t)
 	cfg := benchgen.CycleConfig{Vars: 1500, CycleFrac: 0.7, CycleLen: 4, CrossEdges: 0, MaskedFrac: 0, BitSeeds: true, Seed: 31}
 	ref := buildParallelCase(t, set, cfg)
@@ -164,7 +147,7 @@ func TestParallelSolveRegions(t *testing.T) {
 		if !reflect.DeepEqual(gotUnsat, wantUnsat) {
 			t.Fatalf("jobs=%d: unsat mismatch\n got: %v\nwant: %v", jobs, gotUnsat, wantUnsat)
 		}
-		gs.Workers, gs.CCRegions, gs.SweepLevels, gs.SweepFallbacks = ws.Workers, ws.CCRegions, ws.SweepLevels, ws.SweepFallbacks
+		gs.Workers, gs.CCRegions = ws.Workers, ws.CCRegions
 		if gs != ws {
 			t.Fatalf("jobs=%d: stats mismatch\n got: %+v\nwant: %+v", jobs, gs, ws)
 		}
@@ -192,11 +175,12 @@ func TestParallelSolveRegions(t *testing.T) {
 }
 
 // TestParallelSolveTraceGolden checks the observability invariant:
-// spans are emitted only from the sequential merge spine, in class-
-// index order, so under a fake clock the exported trace is
-// byte-identical at every worker count.
+// spans are emitted only from the sequential class loop, in class-index
+// order, never from region workers, so under a fake clock the exported
+// trace is byte-identical at every worker count. The multi-class shape
+// must fan regions out inside its classes, or the check proves nothing.
 func TestParallelSolveTraceGolden(t *testing.T) {
-	defer constraint.SetParallelMinsForTest(1, 1, 1, 1, 2, 1)()
+	defer constraint.SetParallelMinsForTest(1, 1, 1, 2)()
 	set := set2(t)
 	run := func(jobs int) []byte {
 		tracer := obs.NewTracer(obs.NewFakeClock(time.Unix(0, 0), time.Microsecond))
@@ -204,6 +188,9 @@ func TestParallelSolveTraceGolden(t *testing.T) {
 		sys := buildParallelCase(t, set, parallelCycleCfgs[1])
 		sys.SetSolveJobs(jobs)
 		sys.SolveContext(ctx)
+		if st := sys.Stats(); jobs > 1 && st.CCRegions == 0 {
+			t.Fatalf("jobs=%d: region fan-out did not run: %+v", jobs, st)
+		}
 		var buf bytes.Buffer
 		if err := tracer.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -219,10 +206,10 @@ func TestParallelSolveTraceGolden(t *testing.T) {
 }
 
 // TestParallelSolveScratchReuse re-solves through one System so the
-// per-worker scratch pool and class-result buffers are exercised on
-// their reuse path, not just first allocation.
+// per-worker scratch pool and the cached region decomposition are
+// exercised on their reuse path, not just first allocation.
 func TestParallelSolveScratchReuse(t *testing.T) {
-	defer constraint.SetParallelMinsForTest(1, 1, 1, 1, 2, 1)()
+	defer constraint.SetParallelMinsForTest(1, 1, 1, 2)()
 	set := set2(t)
 	sys := buildParallelCase(t, set, parallelCycleCfgs[0])
 	sys.SetSolveJobs(4)

@@ -38,8 +38,8 @@ type Config struct {
 	// Jobs bounds the constraint-generation worker pool; 0 means
 	// GOMAXPROCS. Results are identical for every value.
 	Jobs int
-	// SolveJobs bounds the solver's worker pool (cold-solve mask classes
-	// and level sweeps, delta-session class fan-out); 0 means GOMAXPROCS,
+	// SolveJobs bounds the solver's worker pool (the region fan-out of
+	// cold solves, including a session's fallbacks); 0 means GOMAXPROCS,
 	// 1 forces the sequential solver. Results are identical for every
 	// value.
 	SolveJobs int
@@ -346,7 +346,6 @@ func runAnalysis(ctx context.Context, cfg Config, res *Result, sess *Session) er
 		if sess.ss == nil {
 			sess.ss = constraint.NewSession(a.Set())
 		}
-		sess.ss.SetSolveJobs(cfg.SolveJobs)
 		conflicts = a.SolveSession(ctx, sess.ss)
 		d := sess.ss.Delta()
 		res.Delta = &d

@@ -91,9 +91,6 @@ type jsonSolver struct {
 // with it (results never do).
 type jsonParallel struct {
 	Workers   int `json:"workers"`
-	Classes   int `json:"classes"`
-	Levels    int `json:"levels"`
-	Fallbacks int `json:"fallbacks"`
 	CCRegions int `json:"cc_regions"`
 }
 
@@ -217,9 +214,6 @@ func (r *Result) JSON() ([]byte, error) {
 			MaskClasses:   r.Solver.MaskClasses,
 			Parallel: jsonParallel{
 				Workers:   r.Solver.Workers,
-				Classes:   r.Solver.ParallelClasses,
-				Levels:    r.Solver.SweepLevels,
-				Fallbacks: r.Solver.SweepFallbacks,
 				CCRegions: r.Solver.CCRegions,
 			},
 		}

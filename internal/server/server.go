@@ -184,7 +184,7 @@ type Server struct {
 	stageRuns atomic.Uint64             // completed runs contributing to the stage sums
 	stageHist [numStages]*obs.Histogram // per-stage latency, seconds
 	reqHist   map[string]*obs.Histogram // end-to-end latency by cache hit/miss/session
-	solver    [11]*obs.Counter          // summed solver condensation + parallel-execution counters
+	solver    [8]*obs.Counter           // summed solver condensation + parallel-execution counters
 
 	// Delta re-solve aggregates over session requests that reached the
 	// solver: hits took the incremental path, fallbacks re-solved cold.
@@ -351,8 +351,8 @@ func (s *Server) registerMetrics() {
 			"Per-stage pipeline latency over completed analyses.", nil, obs.L("stage", name))
 	}
 
-	solverNames := [11]string{"vars", "constraints", "components", "sccs_collapsed", "vars_collapsed", "edges_dropped",
-		"workers", "parallel_classes", "sweep_levels", "sweep_fallbacks", "cc_regions"}
+	solverNames := [8]string{"vars", "constraints", "components", "sccs_collapsed", "vars_collapsed", "edges_dropped",
+		"workers", "cc_regions"}
 	for i, name := range solverNames {
 		s.solver[i] = r.NewCounter("cquald_solver_"+name+"_total",
 			"Summed solver counter over completed analyses (see constraint.SolveStats).")
@@ -598,18 +598,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "jobs must be >= 0, got %d", req.Jobs)
 		return
 	}
-	jobs := req.Jobs
-	if jobs == 0 || (s.cfg.Jobs > 0 && jobs > s.cfg.Jobs) {
-		jobs = s.cfg.Jobs
-	}
 	if req.SolveJobs < 0 {
 		s.fail(w, http.StatusBadRequest, "solve_jobs must be >= 0, got %d", req.SolveJobs)
 		return
 	}
-	solveJobs := req.SolveJobs
-	if solveJobs == 0 || (s.cfg.SolveJobs > 0 && solveJobs > s.cfg.SolveJobs) {
-		solveJobs = s.cfg.SolveJobs
-	}
+	jobs, solveJobs := capJobs(req.Jobs, s.cfg.Jobs), capJobs(req.SolveJobs, s.cfg.SolveJobs)
 	sources := make([]driver.Source, len(req.Sources))
 	for i, src := range req.Sources {
 		if src.Path == "" {
@@ -813,10 +806,30 @@ func (s *Server) deadline(w http.ResponseWriter, err error) {
 	s.fail(w, http.StatusGatewayTimeout, "analysis aborted: %v", err)
 }
 
+// capJobs resolves a request's pool size against the server's own:
+// 0, or any value at or above the server's effective pool (its setting,
+// or GOMAXPROCS when that is 0), selects the server default. Requests
+// can therefore lower a pool but never raise it, and every request that
+// runs the default pool shares one result-cache key.
+func capJobs(req, server int) int {
+	limit := server
+	if limit == 0 {
+		limit = runtime.GOMAXPROCS(0)
+	}
+	if req == 0 || req >= limit {
+		return server
+	}
+	return req
+}
+
+// writeReport sends a report and its trailing newline. report may be a
+// result-cache entry shared by concurrent hits, so it is never appended
+// to: an append into its spare capacity would race with other readers.
 func (s *Server) writeReport(w http.ResponseWriter, report []byte, cacheState string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", cacheState)
-	w.Write(append(report, '\n'))
+	w.Write(report)
+	w.Write([]byte{'\n'})
 }
 
 func (s *Server) recordTimings(t driver.Timings, st constraint.SolveStats) {
@@ -826,9 +839,9 @@ func (s *Server) recordTimings(t driver.Timings, st constraint.SolveStats) {
 		s.stageHist[i].Observe(d.Seconds())
 	}
 	s.stageRuns.Add(1)
-	for i, v := range [11]int{
+	for i, v := range [8]int{
 		st.Vars, st.Constraints, st.Components, st.SCCsCollapsed, st.VarsCollapsed, st.EdgesDropped,
-		st.Workers, st.ParallelClasses, st.SweepLevels, st.SweepFallbacks, st.CCRegions,
+		st.Workers, st.CCRegions,
 	} {
 		s.solver[i].Add(uint64(v))
 	}
@@ -1093,13 +1106,10 @@ type SolverTotals struct {
 	EdgesDropped  uint64 `json:"edges_dropped"`
 	// Parallel-execution counters: how the solves ran, never what they
 	// computed. Workers sums the per-run worker count (Workers/Runs is
-	// the mean pool size); the rest count classes fanned out, level
-	// sweeps run, and classes that fell back to sequential sweeps.
-	Workers         uint64 `json:"workers"`
-	ParallelClasses uint64 `json:"parallel_classes"`
-	SweepLevels     uint64 `json:"sweep_levels"`
-	SweepFallbacks  uint64 `json:"sweep_fallbacks"`
-	CCRegions       uint64 `json:"cc_regions"`
+	// the mean pool size); CCRegions sums the connected regions fanned
+	// out to those pools.
+	Workers   uint64 `json:"workers"`
+	CCRegions uint64 `json:"cc_regions"`
 }
 
 // DeltaTotals sums the delta re-solve outcomes over session requests
@@ -1145,17 +1155,14 @@ func (s *Server) Snapshot() Metrics {
 			DirtyVars:    uint64(s.deltaDirty.Sum()),
 		},
 		Solver: SolverTotals{
-			Vars:            s.solver[0].Value(),
-			Constraints:     s.solver[1].Value(),
-			Components:      s.solver[2].Value(),
-			SCCsCollapsed:   s.solver[3].Value(),
-			VarsCollapsed:   s.solver[4].Value(),
-			EdgesDropped:    s.solver[5].Value(),
-			Workers:         s.solver[6].Value(),
-			ParallelClasses: s.solver[7].Value(),
-			SweepLevels:     s.solver[8].Value(),
-			SweepFallbacks:  s.solver[9].Value(),
-			CCRegions:       s.solver[10].Value(),
+			Vars:          s.solver[0].Value(),
+			Constraints:   s.solver[1].Value(),
+			Components:    s.solver[2].Value(),
+			SCCsCollapsed: s.solver[3].Value(),
+			VarsCollapsed: s.solver[4].Value(),
+			EdgesDropped:  s.solver[5].Value(),
+			Workers:       s.solver[6].Value(),
+			CCRegions:     s.solver[7].Value(),
 		},
 		Stages: StageTotals{
 			Runs:        s.stageRuns.Load(),

@@ -94,6 +94,32 @@ func TestAnalyzeMissThenHit(t *testing.T) {
 	}
 }
 
+// TestAnalyzePoolSizesCapped checks that a request cannot raise the
+// server's pool sizes: with the default config (0 = GOMAXPROCS), an
+// oversized solve_jobs or jobs runs the server default, so the same
+// request without them is a result-cache hit on the first one's entry.
+func TestAnalyzePoolSizesCapped(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}))
+	defer ts.Close()
+
+	body := analyzeBody(map[string]string{"prog.c": prog})
+	oversized, _ := json.Marshal(AnalyzeRequest{
+		Sources: []SourceJSON{{Path: "prog.c", Text: prog}},
+		Jobs:    4096, SolveJobs: 4096,
+	})
+	r1, d1 := postAnalyze(t, ts, string(oversized))
+	if r1.StatusCode != 200 || r1.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("oversized POST: status %d, X-Cache %q; want 200 miss", r1.StatusCode, r1.Header.Get("X-Cache"))
+	}
+	r2, d2 := postAnalyze(t, ts, body)
+	if r2.StatusCode != 200 || r2.Header.Get("X-Cache") != "hit" {
+		t.Fatalf("default POST after oversized one: status %d, X-Cache %q; want 200 hit", r2.StatusCode, r2.Header.Get("X-Cache"))
+	}
+	if !bytes.Equal(d1, d2) {
+		t.Fatalf("cache hit not byte-identical:\n%s\n---\n%s", d1, d2)
+	}
+}
+
 // stripMS removes the wall-clock lines (the only permitted variance).
 func stripMS(s string) string {
 	var out []string
