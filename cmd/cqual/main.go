@@ -570,18 +570,6 @@ func printSolverStats(res *driver.Result) {
 	} else {
 		fmt.Fprintf(os.Stderr, "  parallel:     sequential solve (-solve-jobs 1, or no class split into enough regions)\n")
 	}
-	// Delta counters appear only when the run went through a retained
-	// session (driver.Session / cquald sessions); plain cqual runs solve
-	// cold and print nothing here.
-	if d := res.Delta; d != nil {
-		if d.Applied {
-			fmt.Fprintf(os.Stderr, "  delta:        hit — %d fragment(s) reused (+%d −%d), %d SCC(s) re-solved, %d var(s) dirty\n",
-				d.FragsReused, d.FragsAdded, d.FragsRemoved, d.ResolvedSCCs, d.DirtyVars)
-		} else {
-			fmt.Fprintf(os.Stderr, "  delta:        cold solve (%s)\n", d.Fallback)
-		}
-		fmt.Fprintf(os.Stderr, "  session:      %d hit(s), %d fallback(s)\n", st.DeltaHits, st.DeltaFallbacks)
-	}
 	fmt.Fprintf(os.Stderr, "  solve time:   %v (analysis %v)\n", res.Timings.Solve, res.Timings.Analysis())
 }
 

@@ -9,7 +9,6 @@
 //	       [-timeout d] [-shutdown-timeout d]
 //	       [-result-cache-entries n] [-result-cache-bytes n]
 //	       [-summary-cache-entries n] [-summary-cache-bytes n]
-//	       [-session-entries n]
 //	       [-pprof] [-slow-request d] [-trace-entries n]
 //	       [-journal-entries n] [-retain-slowest n] [-retain-sample n]
 //	       [-slo endpoint=objective,...]
@@ -28,17 +27,15 @@
 //
 // Every analyze response carries an X-Trace-Id, and every request
 // records spans into the flight recorder: at request end a
-// tail-retention policy keeps the traces of slow, failed, shed,
-// delta-fallback, and 1-in-K sampled requests (?trace=1 forces
-// retention), retrievable at /v1/traces/<id> after the fact.
+// tail-retention policy keeps the traces of slow, failed, shed, and
+// 1-in-K sampled requests (?trace=1 forces retention), retrievable at
+// /v1/traces/<id> after the fact.
 // -trace-entries bounds the retention ring; -retain-slowest and
 // -retain-sample tune the policy. GET /v1/events serves the structured
-// event journal (session evictions, delta fallbacks with reason codes,
-// cache churn, slow requests; ?since=<seq> resumes, ?wait=1
-// long-polls), bounded by -journal-entries. GET /v1/introspect dumps
-// live state: retained sessions with their last solve/delta stats,
-// cache occupancy, worker depths, ring and journal stats, SLO burn
-// rates. -slo declares per-endpoint latency objectives
+// event journal (cache churn, slow requests; ?since=<seq> resumes,
+// ?wait=1 long-polls), bounded by -journal-entries. GET /v1/introspect
+// dumps live state: cache occupancy, worker depths, ring and journal
+// stats, SLO burn rates. -slo declares per-endpoint latency objectives
 // ("analyze=250ms,metrics=50ms"); burn-rate gauges over 5m/1h/6h
 // windows are computed at scrape time. The cqualtop command renders all
 // of this as a live dashboard.
@@ -48,21 +45,19 @@
 // also land in the event journal). SIGINT/SIGTERM drain in-flight
 // requests before exiting.
 //
-// Requests carrying a "session" id share a retained constraint-graph
-// session (bounded by -session-entries): successive versions of the
-// same corpus re-solve only the region downstream of changed constraint
-// fragments, visible in the report's solver.delta block and the
-// /metrics delta counters.
+// Requests carrying a "session" id (an editor's saves) run the same
+// cold analysis but bypass the result cache in both directions; their
+// replies say X-Cache: session and are byte-identical to a sessionless
+// reply over the same sources.
 //
 // With -watch DIR the daemon serves no HTTP at all: it walks DIR
 // recursively for the active front end's source files (.c by default,
 // .go with -lang go; stdlib mtime/size polling, -watch-interval apart)
-// and re-runs the analysis through one retained session whenever a
-// file appears, changes, or disappears, printing conflict diagnostics
-// with their flow paths plus a per-run delta summary to stdout. The
-// mode flags (-lang, -poly, -polyrec, -simplify, -uninit, -analysis,
-// -prelude) mirror cqual and apply only to -watch, which fixes the
-// configuration for the session's lifetime.
+// and re-runs the full analysis whenever a file appears, changes, or
+// disappears, printing conflict diagnostics with their flow paths plus
+// a per-run summary to stdout. The mode flags (-lang, -poly, -polyrec,
+// -simplify, -uninit, -analysis, -prelude) mirror cqual and apply only
+// to -watch, which fixes the configuration for the whole run.
 package main
 
 import (
@@ -94,7 +89,6 @@ func main() {
 	resultBytes := flag.Int64("result-cache-bytes", 256<<20, "result cache: max stored report bytes (0 = unbounded)")
 	summaryEntries := flag.Int("summary-cache-entries", 65536, "per-function summary cache: max entries (0 = unbounded)")
 	summaryBytes := flag.Int64("summary-cache-bytes", 256<<20, "per-function summary cache: max approximate bytes (0 = unbounded)")
-	sessionEntries := flag.Int("session-entries", 0, "retained delta re-solve sessions (0 = 64)")
 	enablePprof := flag.Bool("pprof", false, "mount the net/http/pprof profiling handlers under /debug/pprof/")
 	slowRequest := flag.Duration("slow-request", 0, "log analyze requests at or above this latency (0 = disabled)")
 	traceEntries := flag.Int("trace-entries", 0, "flight-recorder retained-trace ring entries (0 = 32)")
@@ -103,7 +97,7 @@ func main() {
 	retainSample := flag.Int("retain-sample", 0, "retain one trace in every n requests as a baseline sample (0 = 64, negative disables)")
 	sloFlag := flag.String("slo", "", `per-endpoint latency objectives as "endpoint=objective,..." (e.g. "analyze=250ms,metrics=50ms"; default analyze=250ms)`)
 	sloTarget := flag.Float64("slo-target", 0, "SLO success-fraction objective shared by all endpoints (0 = 0.99)")
-	watch := flag.String("watch", "", "watch this directory of source files instead of serving HTTP; re-analyze on change through a retained session")
+	watch := flag.String("watch", "", "watch this directory of source files instead of serving HTTP; re-analyze on change")
 	watchInterval := flag.Duration("watch-interval", 500*time.Millisecond, "poll interval for -watch")
 	lang := flag.String("lang", "", "with -watch: source language of the watched files (c, go; default c)")
 	poly := flag.Bool("poly", false, "with -watch: polymorphic qualifier inference")
@@ -167,7 +161,6 @@ func main() {
 		ResultBytes:    *resultBytes,
 		SummaryEntries: *summaryEntries,
 		SummaryBytes:   *summaryBytes,
-		SessionEntries: *sessionEntries,
 		EnablePprof:    *enablePprof,
 		SlowRequest:    *slowRequest,
 		TraceEntries:   *traceEntries,

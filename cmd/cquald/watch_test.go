@@ -40,6 +40,9 @@ func writeStamped(t *testing.T, path, text string, seq int) {
 	}
 }
 
+// TestWatcherDeltaCycle walks the watcher through one edit cycle: the
+// first poll analyzes, an unchanged poll does nothing, an edit and a new
+// file each re-analyze.
 func TestWatcherDeltaCycle(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "prog.c")
@@ -53,8 +56,8 @@ func TestWatcherDeltaCycle(t *testing.T) {
 	if err != nil || !ran {
 		t.Fatalf("first poll: ran=%v err=%v", ran, err)
 	}
-	if !strings.Contains(out.String(), "delta: cold solve (first-solve)") {
-		t.Fatalf("first run should cold-solve:\n%s", out.String())
+	if !strings.Contains(out.String(), "run 1: 1 file(s)") || !strings.Contains(out.String(), "(solve ") {
+		t.Fatalf("first run should analyze:\n%s", out.String())
 	}
 
 	// No change: no analysis.
@@ -63,14 +66,14 @@ func TestWatcherDeltaCycle(t *testing.T) {
 		t.Fatalf("unchanged poll: ran=%v err=%v output=%q", ran, err, out.String())
 	}
 
-	// Trailing-function edit: the session takes the delta path.
+	// An edit re-analyzes.
 	writeStamped(t, path, watchV2, 2)
 	out.Reset()
 	if ran, err := w.poll(ctx); err != nil || !ran {
 		t.Fatalf("edit poll: ran=%v err=%v", ran, err)
 	}
-	if !strings.Contains(out.String(), "delta: hit") {
-		t.Fatalf("edit should be a delta hit:\n%s", out.String())
+	if !strings.Contains(out.String(), "run 2: 1 file(s)") {
+		t.Fatalf("edit should re-analyze:\n%s", out.String())
 	}
 
 	// A new file changes the set and re-analyzes.
@@ -126,8 +129,7 @@ func TestWatcherRecursiveScan(t *testing.T) {
 }
 
 // TestWatcherGoLang pins the -lang go watch path: the scanner claims .go
-// files (skipping tests), and edits delta-solve through the retained
-// session exactly like C.
+// files (skipping tests), and edits re-analyze exactly like C.
 func TestWatcherGoLang(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "prog.go")
@@ -146,8 +148,8 @@ func TestWatcherGoLang(t *testing.T) {
 	if !strings.Contains(got, "1 file(s)") {
 		t.Fatalf("_test.go should be ignored:\n%s", got)
 	}
-	if !strings.Contains(got, "delta: cold solve (first-solve)") {
-		t.Fatalf("first run should cold-solve:\n%s", got)
+	if !strings.Contains(got, "1 function(s)") {
+		t.Fatalf("first run should analyze get:\n%s", got)
 	}
 
 	writeStamped(t, path, "package p\n\nfunc get(p *int) int { return *p }\n\nfunc put(p *int) { *p = 1 }\n", 3)
@@ -155,8 +157,8 @@ func TestWatcherGoLang(t *testing.T) {
 	if ran, err := w.poll(ctx); err != nil || !ran {
 		t.Fatalf("edit poll: ran=%v err=%v", ran, err)
 	}
-	if !strings.Contains(out.String(), "delta:") {
-		t.Fatalf("edit should report a delta line:\n%s", out.String())
+	if !strings.Contains(out.String(), "2 function(s)") {
+		t.Fatalf("edit should re-analyze both functions:\n%s", out.String())
 	}
 }
 
@@ -205,8 +207,8 @@ func TestWatcherConflictFlow(t *testing.T) {
 	}
 }
 
-// TestWatcherFrontEndError pins that a broken edit reports errors but
-// keeps the session: the fixed version still delta-solves.
+// TestWatcherFrontEndError pins that a broken edit reports errors and
+// the watcher keeps going: the fixed version analyzes again.
 func TestWatcherFrontEndError(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "prog.c")
@@ -233,8 +235,8 @@ func TestWatcherFrontEndError(t *testing.T) {
 	if _, err := w.poll(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "delta: hit") {
-		t.Fatalf("session lost across front-end error:\n%s", out.String())
+	if !strings.Contains(out.String(), "0 conflict(s)") {
+		t.Fatalf("fixed version not analyzed after a front-end error:\n%s", out.String())
 	}
 }
 
@@ -251,8 +253,8 @@ func TestWatcherObservability(t *testing.T) {
 	w := newWatcher(dir, driver.Config{Jobs: 1}, &out)
 	ctx := context.Background()
 
-	// Poll 1: cold solve. Poll 2: unchanged, no analysis. Poll 3: broken
-	// edit, front-end failure. Poll 4: fixed edit, delta hit.
+	// Poll 1: analysis. Poll 2: unchanged, no analysis. Poll 3: broken
+	// edit, front-end failure. Poll 4: fixed edit, analysis.
 	if _, err := w.poll(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -290,13 +292,72 @@ func TestWatcherObservability(t *testing.T) {
 			t.Errorf("event %d run = %q, want %d", i, e.Attrs["run"], i+1)
 		}
 	}
-	if events[0].Level != "info" || !strings.Contains(events[0].Attrs["delta"], "cold solve") {
-		t.Errorf("cold-solve event wrong: %+v", events[0])
+	if events[0].Level != "info" || events[0].Attrs["conflicts"] != "0" {
+		t.Errorf("first-run event wrong: %+v", events[0])
 	}
 	if events[1].Level != "warn" || events[1].Attrs["errors"] == "" {
 		t.Errorf("front-end-failure event wrong: %+v", events[1])
 	}
-	if !strings.Contains(events[2].Attrs["delta"], "delta: hit") {
-		t.Errorf("delta-hit event wrong: %+v", events[2])
+	if events[2].Level != "info" || events[2].Attrs["conflicts"] != "0" {
+		t.Errorf("fixed-edit event wrong: %+v", events[2])
+	}
+}
+
+// watchConflict is watchV1 with a line inserted near the top that both
+// renumbers every later function's variables and plants a conflict.
+const watchConflict = `
+int strlen(const char *s);
+void bad(const char *s) { *s = 0; }
+void sink(char *p) { *p = 0; }
+int probe(const char *s) { return strlen(s); }
+void use(char *buf) { sink(buf); probe(buf); }
+`
+
+// diagnosticLines keeps a watch report's diagnostic and summary lines,
+// dropping the run header and the solve time.
+func diagnosticLines(out string) string {
+	var keep []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "watch: run ") {
+			continue
+		}
+		if i := strings.Index(line, " (solve "); i >= 0 {
+			line = line[:i]
+		}
+		keep = append(keep, line)
+	}
+	return strings.Join(keep, "\n")
+}
+
+// TestWatcherMatchesFreshRun pins that a re-analysis after an edit
+// prints exactly what a fresh watcher prints for the edited tree:
+// nothing from the previous version carries over.
+func TestWatcherMatchesFreshRun(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "prog.c")
+	writeStamped(t, path, watchV1, 1)
+
+	var out strings.Builder
+	w := newWatcher(dir, driver.Config{Jobs: 1}, &out)
+	ctx := context.Background()
+	if _, err := w.poll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for seq, text := range []string{watchConflict, watchV1} {
+		writeStamped(t, path, text, seq+2)
+		out.Reset()
+		if ran, err := w.poll(ctx); err != nil || !ran {
+			t.Fatalf("edit %d: ran=%v err=%v", seq, ran, err)
+		}
+		var fresh strings.Builder
+		if ran, err := newWatcher(dir, driver.Config{Jobs: 1}, &fresh).poll(ctx); err != nil || !ran {
+			t.Fatalf("fresh run %d: ran=%v err=%v", seq, ran, err)
+		}
+		if got, want := diagnosticLines(out.String()), diagnosticLines(fresh.String()); got != want {
+			t.Fatalf("edit %d: re-analysis differs from a fresh run:\n%s\n--- fresh ---\n%s", seq, got, want)
+		}
+		if seq == 0 && !strings.Contains(out.String(), "flow:") {
+			t.Fatalf("edit %d: planted conflict not reported:\n%s", seq, out.String())
+		}
 	}
 }

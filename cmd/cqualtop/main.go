@@ -1,11 +1,10 @@
 // Command cqualtop is a terminal dashboard for a running cquald
 // daemon: the flight recorder's front panel. It polls the daemon's
 // JSON surfaces — /metrics for the counter totals, /v1/introspect for
-// live worker/cache/session/retention state, and /v1/events for the
-// structured journal tail — and renders one compact refreshing screen:
-// request throughput, cache hit rates, SLO burn rates per window,
-// retained traces with their retention reasons, resident sessions with
-// their last delta outcome, and the newest journal events.
+// live worker/cache/retention state, and /v1/events for the structured
+// journal tail — and renders one compact refreshing screen: request
+// throughput, cache hit rates, SLO burn rates per window, retained
+// traces with their retention reasons, and the newest journal events.
 //
 // Usage:
 //
@@ -146,8 +145,8 @@ func (st *topState) runOnce(w io.Writer) error {
 }
 
 // render writes one frame. Sections, top to bottom: header, request
-// totals with rates, caches, solver/delta, SLO burn rates, flight
-// recorder, retained traces, sessions, journal tail.
+// totals with rates, caches, solver, SLO burn rates, flight recorder,
+// retained traces, journal tail.
 func (st *topState) render(w io.Writer, m *server.Metrics, intro *server.Introspection, now time.Time) {
 	up := time.Duration(m.UptimeMS * float64(time.Millisecond)).Round(time.Second)
 	fmt.Fprintf(w, "cqualtop — %s — up %v\n\n", st.base, up)
@@ -161,10 +160,10 @@ func (st *topState) render(w io.Writer, m *server.Metrics, intro *server.Introsp
 	fmt.Fprintf(w, "requests  %d%s · analyses %d · failures %d · timeouts %d · in-flight %d/%d (running %d)\n",
 		m.Requests, rate, m.Analyses, m.Failures, m.Timeouts,
 		intro.Workers.InFlight, intro.Workers.MaxConcurrent, intro.Workers.Running)
-	fmt.Fprintf(w, "caches    result %s · summary %s · sessions %s\n",
-		cacheLine(intro.Caches.Result), cacheLine(intro.Caches.Summary), cacheLine(intro.Caches.Session))
-	fmt.Fprintf(w, "solver    %d vars · %d constraints over %d run(s) · delta hits %d fallbacks %d\n",
-		m.Solver.Vars, m.Solver.Constraints, m.Stages.Runs, m.Delta.Hits, m.Delta.Fallbacks)
+	fmt.Fprintf(w, "caches    result %s · summary %s\n",
+		cacheLine(intro.Caches.Result), cacheLine(intro.Caches.Summary))
+	fmt.Fprintf(w, "solver    %d vars · %d constraints over %d run(s)\n",
+		m.Solver.Vars, m.Solver.Constraints, m.Stages.Runs)
 
 	fmt.Fprintf(w, "\nslo       (burn <1 inside budget, >1 burning)\n")
 	if len(intro.SLOs) == 0 {
@@ -216,28 +215,6 @@ func (st *topState) render(w io.Writer, m *server.Metrics, intro *server.Introsp
 		}
 		fmt.Fprintf(w, "  %-34s %8.1fms  %6s  [%s]\n",
 			tr.ID, tr.Seconds*1000, byteCount(int64(tr.Bytes)), strings.Join(tr.Reasons, ","))
-	}
-
-	fmt.Fprintln(w, "\nsessions  (most recent first)")
-	if len(intro.Sessions) == 0 {
-		fmt.Fprintln(w, "  none retained")
-	}
-	for i, s := range intro.Sessions {
-		if i == 5 {
-			fmt.Fprintf(w, "  … %d more retained\n", len(intro.Sessions)-i)
-			break
-		}
-		if s.Last == nil {
-			fmt.Fprintf(w, "  %-14s (never run)\n", s.Key)
-			continue
-		}
-		delta := fmt.Sprintf("cold (%s)", s.Last.Delta.Fallback)
-		if s.Last.Delta.Applied {
-			delta = fmt.Sprintf("hit: %d reused, %d SCC(s), %d dirty",
-				s.Last.Delta.FragsReused, s.Last.Delta.ResolvedSCCs, s.Last.Delta.DirtyVars)
-		}
-		fmt.Fprintf(w, "  %-14s run %-3d %d file(s) %d diag · delta %s\n",
-			s.Key, s.Last.Runs, s.Last.Sources, s.Last.Diagnostics, delta)
 	}
 
 	fmt.Fprintf(w, "\nevents    (journal tail; next seq %d)\n", intro.Journal.NextSeq)

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,13 +12,18 @@ import (
 	"repro/internal/server"
 )
 
-// TestRunOnce drives the dashboard against a real in-process daemon:
-// one clean analyze, one session analyze (whose second run delta-hits),
-// then two frames. The first frame must carry every section with live
-// numbers; the second must show a request rate and resume the journal
-// tail without re-printing consumed events.
+// TestRunOnce drives the dashboard against a real in-process daemon
+// whose 1ns slow-request threshold journals every analyze request: one
+// clean analyze, two session analyzes, then two frames. The first frame
+// must carry every section with live numbers; the second must show a
+// request rate and resume the journal tail without re-printing
+// consumed events.
 func TestRunOnce(t *testing.T) {
-	ts := httptest.NewServer(server.New(server.Config{MaxConcurrent: 3}))
+	ts := httptest.NewServer(server.New(server.Config{
+		MaxConcurrent: 3,
+		SlowRequest:   time.Nanosecond,
+		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
+	}))
 	defer ts.Close()
 
 	post := func(body string) {
@@ -44,17 +51,15 @@ func TestRunOnce(t *testing.T) {
 		"cqualtop — " + ts.URL,
 		"requests  3",
 		"in-flight 0/3",
-		"delta hits 1",
+		"caches    result 1 entry",
+		"solver    ",
 		"slo",
 		"analyze", // the default SLO endpoint
 		"5m",      // burn windows rendered short-to-long
 		"flight    3 decision(s)",
 		"traces    (newest first",
-		"sessions  (most recent first)",
-		"top",       // the session key
-		"delta hit", // its last run reused fragments
 		"events    (journal tail",
-		"delta_fallback", // the session's first solve journaled its reason
+		"slow analyze request", // every request crossed the 1ns threshold
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("frame missing %q:\n%s", want, got)
@@ -64,8 +69,9 @@ func TestRunOnce(t *testing.T) {
 		t.Error("runOnce emitted ANSI escapes; clearing is main's job")
 	}
 
-	// Second frame: rate appears, consumed events don't repeat.
-	firstEvents := strings.Count(got, "delta_fallback")
+	// Second frame: rate appears, consumed events don't repeat — the
+	// fourth request adds exactly one event to the tail.
+	firstEvents := strings.Count(got, "slow analyze request")
 	post(`{"sources":[{"path":"b.c","text":"int id2(int x) { return x; }"}]}`)
 	st.now = func() time.Time { return base.Add(2 * time.Second) }
 	var frame2 strings.Builder
@@ -76,8 +82,8 @@ func TestRunOnce(t *testing.T) {
 	if !strings.Contains(got2, "requests  4 (0.5/s)") {
 		t.Errorf("second frame missing request rate:\n%s", got2)
 	}
-	if n := strings.Count(got2, "delta_fallback"); n != firstEvents {
-		t.Errorf("event tail changed across frames: %d vs %d occurrences (tail must accumulate, not refetch)", n, firstEvents)
+	if n := strings.Count(got2, "slow analyze request"); n != firstEvents+1 {
+		t.Errorf("event tail has %d slow-request events after %d plus one request (tail must accumulate, not refetch)", n, firstEvents)
 	}
 }
 

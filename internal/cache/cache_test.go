@@ -122,6 +122,15 @@ func TestRequestKey(t *testing.T) {
 	if RequestKey(warm, srcs) != base {
 		t.Fatal("Summaries leaked into the request key")
 	}
+	// Reports are byte-identical at every generation pool size, so Jobs
+	// stays out of the key; SolveJobs stays in, because the report's
+	// solver.parallel.workers records the solver pool.
+	if RequestKey(driver.Config{Jobs: 1}, srcs) != base {
+		t.Fatal("Jobs leaked into the request key")
+	}
+	if RequestKey(driver.Config{SolveJobs: 1}, srcs) == base {
+		t.Fatal("SolveJobs change did not change the key")
+	}
 }
 
 // --- end-to-end determinism of the summary layer ---

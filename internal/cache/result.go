@@ -22,19 +22,22 @@ func langKey(cfg driver.Config) string {
 
 // RequestKey derives the result-cache key for an analysis request. It
 // hashes the front-end language, the inference mode (poly/polyrec/
-// simplify, the poly-rec iteration bound), the jobs setting, the
-// uninit flag, the selected
-// analyses, every prelude's path and text, and every source's path and
-// text, all length-prefixed so concatenations cannot collide. Sources
-// must carry their text: a path-only source would key on the name rather
-// than the content. cfg.Summaries is deliberately excluded — a summary
-// cache changes how fast a result is derived, never what it is.
+// simplify, the poly-rec iteration bound), the solver pool size, the
+// uninit flag, the selected analyses, every prelude's path and text, and
+// every source's path and text, all length-prefixed so concatenations
+// cannot collide. Sources must carry their text: a path-only source
+// would key on the name rather than the content. Two settings are
+// deliberately excluded because they change how fast a result is
+// derived, never what it is: cfg.Summaries, and cfg.Jobs (reports are
+// byte-identical at every constraint-generation pool size). SolveJobs
+// stays in the key because the report's solver.parallel.workers counter
+// records the solver pool that ran.
 func RequestKey(cfg driver.Config, sources []driver.Source) Key {
 	h := sha256.New()
 	fmt.Fprintf(h, "lang:%s;", langKey(cfg))
-	fmt.Fprintf(h, "cfg:%t,%t,%t,%d,%d,%d,%t;",
+	fmt.Fprintf(h, "cfg:%t,%t,%t,%d,%d,%t;",
 		cfg.Options.Poly, cfg.Options.PolyRec, cfg.Options.Simplify,
-		cfg.Options.MaxPolyRecIters, cfg.Jobs, cfg.SolveJobs, cfg.Uninit)
+		cfg.Options.MaxPolyRecIters, cfg.SolveJobs, cfg.Uninit)
 	for _, a := range cfg.AnalysisNames() {
 		fmt.Fprintf(h, "an:%d:%s;", len(a), a)
 	}

@@ -70,9 +70,9 @@ type SolveStats struct {
 	// away. Both are summed across mask classes.
 	SCCsCollapsed int
 	VarsCollapsed int
-	// EdgesDropped counts variable-variable edge instances eliminated by
-	// condensation: edges inside a component plus parallel edges merged
-	// between the same pair of components, summed across mask classes.
+	// EdgesDropped counts the variable-variable edge instances that
+	// condensation made tautological — edges whose endpoints share a
+	// component — summed across mask classes.
 	EdgesDropped int
 	// MaskClasses is the number of lattice-component classes the edge
 	// masks induced (1 when every edge carries the same mask).
@@ -84,17 +84,6 @@ type SolveStats struct {
 	// that pool (cc.go), 0 when no class took that path.
 	Workers   int
 	CCRegions int
-
-	// Delta re-solve counters, populated only when the solve ran through
-	// a Session (zero for plain Solve calls, so cold output is
-	// unchanged). DeltaHits and DeltaFallbacks accumulate over the
-	// session's lifetime; ResolvedSCCs and DirtyVars describe the last
-	// re-solve's dirty region (condensed components re-evaluated, and
-	// variables whose solution was rebroadcast).
-	DeltaHits      int
-	DeltaFallbacks int
-	ResolvedSCCs   int
-	DirtyVars      int
 }
 
 // maskClasses partitions the components of full into groups that every
@@ -335,16 +324,15 @@ func tarjan(n int, off, to []int32, em []qual.Elem, class qual.Elem, sc *tarjanS
 // condense merges the per-class SCC partitions: two nodes share a
 // condensed component iff they share an SCC in every mask class (and
 // are therefore equal on every lattice component). It returns the
-// node→component map, the component count, and the class count.
-// Components are numbered in first-occurrence order over node ids,
-// which is deterministic.
-func condense(n int, eFrom, eTo []int32, eMask []qual.Elem, full qual.Elem) (comp []int32, ncomp, nclasses int) {
+// node→component map and the component count. Components are numbered
+// in first-occurrence order over node ids, which is deterministic.
+func condense(n int, eFrom, eTo []int32, eMask []qual.Elem, full qual.Elem) (comp []int32, ncomp int) {
 	comp = make([]int32, n)
 	if len(eFrom) == 0 || full == 0 {
 		for i := range comp {
 			comp[i] = int32(i)
 		}
-		return comp, n, 0
+		return comp, n
 	}
 	classes := maskClasses(distinctMasks(eMask), full)
 	m := len(eFrom)
@@ -430,7 +418,7 @@ func condense(n int, eFrom, eTo []int32, eMask []qual.Elem, full qual.Elem) (com
 		}
 		comp[v] = renum[comp[v]]
 	}
-	return comp, ncomp, len(classes)
+	return comp, ncomp
 }
 
 // classAdj materializes the CSR adjacency of one mask class over a
@@ -488,25 +476,22 @@ func classAdj(eFrom, eTo []int32, buckets [][]int32, lid []int32, touched []bool
 // compGraph is the condensed CSR adjacency: nodes are components,
 // self-edges are dropped, parallel edges are merged by OR-ing masks.
 type compGraph struct {
-	ncomp        int
-	fOff, fTo    []int32
-	fMask        []qual.Elem
-	rOff, rTo    []int32
-	rMask        []qual.Elem
-	edgesDropped int
+	fOff, fTo []int32
+	fMask     []qual.Elem
+	rOff, rTo []int32
+	rMask     []qual.Elem
 }
 
 // buildCompGraph condenses the edge list (eFrom, eTo, eMask) through the
 // comp map and materializes forward and reverse CSR adjacency.
 func buildCompGraph(comp []int32, ncomp int, eFrom, eTo []int32, eMask []qual.Elem) *compGraph {
-	g := &compGraph{ncomp: ncomp}
+	g := &compGraph{}
 	// Count surviving edges per source component.
 	cnt := make([]int32, ncomp+1)
 	kept := 0
 	for i := range eFrom {
 		cu, cv := comp[eFrom[i]], comp[eTo[i]]
 		if cu == cv {
-			g.edgesDropped++
 			continue
 		}
 		cnt[cu+1]++
@@ -554,7 +539,6 @@ func buildCompGraph(comp []int32, ncomp int, eFrom, eTo []int32, eMask []qual.El
 			t := to[r]
 			if stamp[t] == int32(u) {
 				mask[slot[t]] |= mask[r]
-				g.edgesDropped++
 				continue
 			}
 			stamp[t] = int32(u)

@@ -31,17 +31,16 @@ import (
 // pipeline.
 type Config struct {
 	// Lang selects the front end ("c", "go"); empty means "c". The
-	// language is part of every cache and session key.
+	// language is part of every cache key.
 	Lang string
 	// Options is the inference mode (mono/poly/polyrec/simplify).
 	Options constinfer.Options
 	// Jobs bounds the constraint-generation worker pool; 0 means
 	// GOMAXPROCS. Results are identical for every value.
 	Jobs int
-	// SolveJobs bounds the solver's worker pool (the region fan-out of
-	// cold solves, including a session's fallbacks); 0 means GOMAXPROCS,
-	// 1 forces the sequential solver. Results are identical for every
-	// value.
+	// SolveJobs bounds the solver's worker pool (the region fan-out);
+	// 0 means GOMAXPROCS, 1 forces the sequential solver. Results are
+	// identical for every value.
 	SolveJobs int
 	// Uninit additionally runs the flow-sensitive
 	// definite-initialization check and reports its warnings.
@@ -157,11 +156,6 @@ type Result struct {
 	// the solver's cycle condensation compressed it (zero value if the
 	// front end failed and the Solve stage never ran).
 	Solver constraint.SolveStats
-	// Delta describes what the retained delta session did for this run's
-	// solve; nil when the run solved cold (Run/RunContext, or a session
-	// mode without fragment spans still sets it, with Applied=false and
-	// the fallback reason).
-	Delta *constraint.DeltaStats
 }
 
 // HasErrors reports whether any diagnostic is an error.
@@ -201,13 +195,6 @@ func Run(cfg Config, sources []Source) (*Result, error) {
 // deadline is noticed — which keeps every stage's determinism guarantees
 // intact.
 func RunContext(ctx context.Context, cfg Config, sources []Source) (*Result, error) {
-	return runPipeline(ctx, cfg, sources, nil)
-}
-
-// runPipeline is the shared Load → … → Report spine behind RunContext
-// and Session.RunDelta; a non-nil sess routes the Solve stage through
-// its retained constraint session.
-func runPipeline(ctx context.Context, cfg Config, sources []Source, sess *Session) (*Result, error) {
 	if len(sources) == 0 {
 		return nil, errors.New("driver: no input sources")
 	}
@@ -275,7 +262,7 @@ func runPipeline(ctx context.Context, cfg Config, sources []Source, sess *Sessio
 		return res, nil
 	}
 
-	if err := runAnalysis(ctx, cfg, res, sess); err != nil {
+	if err := runAnalysis(ctx, cfg, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -289,7 +276,7 @@ func RunFiles(cfg Config, files []*cfront.File) (*Result, error) {
 		return nil, errors.New("driver: no input files")
 	}
 	res := &Result{Config: cfg, Files: files, Program: &CProgram{Files: files}}
-	if err := runAnalysis(context.Background(), cfg, res, nil); err != nil {
+	if err := runAnalysis(context.Background(), cfg, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -298,7 +285,7 @@ func RunFiles(cfg Config, files []*cfront.File) (*Result, error) {
 // runAnalysis drives the Build → Constrain → Solve → Classify stages and
 // the optional initialization check over res.Program, checking ctx at
 // each stage boundary.
-func runAnalysis(ctx context.Context, cfg Config, res *Result, sess *Session) error {
+func runAnalysis(ctx context.Context, cfg Config, res *Result) error {
 	tr := obs.FromContext(ctx)
 	sp := tr.Start("driver", "driver.build")
 	start := time.Now()
@@ -341,17 +328,7 @@ func runAnalysis(ctx context.Context, cfg Config, res *Result, sess *Session) er
 
 	sp = tr.Start("driver", "driver.solve")
 	start = time.Now()
-	var conflicts []*constraint.Unsat
-	if sess != nil {
-		if sess.ss == nil {
-			sess.ss = constraint.NewSession(a.Set())
-		}
-		conflicts = a.SolveSession(ctx, sess.ss)
-		d := sess.ss.Delta()
-		res.Delta = &d
-	} else {
-		conflicts = a.SolveSystemContext(ctx)
-	}
+	conflicts := a.SolveSystemContext(ctx)
 	res.Timings.Solve = time.Since(start)
 	res.Solver = a.SolveStats()
 	sp.SetAttr(obs.Int("vars", res.Solver.Vars),

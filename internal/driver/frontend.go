@@ -7,13 +7,13 @@ package driver
 // discipline never mention C — and this file is where the repository makes
 // that concrete: a FrontEnd turns raw inputs into a Program, a Program
 // binds to an Engine, and everything from Solve onward (condensed solver,
-// delta sessions, classification, flow traces, JSON schema) is shared.
+// classification, flow traces, JSON schema) is shared.
 //
 // Two front ends register themselves: "c" (internal/cfront + constinfer,
 // registered here) and "go" (internal/gofront, registered by importing
 // that package — every binary that wants -lang go imports it). The
-// selected language travels in Config.Lang and is part of every cache and
-// session key (see internal/cache).
+// selected language travels in Config.Lang and is part of every cache
+// key (see internal/cache).
 
 import (
 	"context"
@@ -74,14 +74,13 @@ type Program interface {
 
 // Engine is the staged qualifier-inference engine over one program: the
 // Build/Constrain stages produce a constraint system, the Solve stage
-// runs the shared condensed solver (cold or through a retained delta
-// session), and Classify interprets the solution. *constinfer.Analysis
+// runs the shared condensed solver, and Classify interprets the
+// solution. *constinfer.Analysis
 // is the C engine; internal/gofront provides the Go one.
 type Engine interface {
 	Prepare()
 	ConstrainContext(ctx context.Context, jobs int)
 	SolveSystemContext(ctx context.Context) []*constraint.Unsat
-	SolveSession(ctx context.Context, ss *constraint.Session) []*constraint.Unsat
 	SolveStats() constraint.SolveStats
 	Set() *qual.Set
 	Classify(conflicts []*constraint.Unsat) *constinfer.Report

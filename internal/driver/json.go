@@ -69,10 +69,7 @@ type jsonFlow struct {
 }
 
 // jsonSolver mirrors constraint.SolveStats: the final system's size and
-// the compression the solver's cycle condensation achieved on it. The
-// delta block appears only for runs solved through a retained session
-// (driver.Session), so cold output is byte-identical to earlier
-// schema versions.
+// the compression the solver's cycle condensation achieved on it.
 type jsonSolver struct {
 	Vars          int          `json:"vars"`
 	Constraints   int          `json:"constraints"`
@@ -82,7 +79,6 @@ type jsonSolver struct {
 	EdgesDropped  int          `json:"edges_dropped"`
 	MaskClasses   int          `json:"mask_classes"`
 	Parallel      jsonParallel `json:"parallel"`
-	Delta         *jsonDelta   `json:"delta,omitempty"`
 }
 
 // jsonParallel records how the solve was executed. It is always
@@ -92,19 +88,6 @@ type jsonSolver struct {
 type jsonParallel struct {
 	Workers   int `json:"workers"`
 	CCRegions int `json:"cc_regions"`
-}
-
-// jsonDelta describes what the retained delta session did for one run.
-type jsonDelta struct {
-	Applied      bool   `json:"applied"`
-	Fallback     string `json:"fallback,omitempty"`
-	FragsReused  int    `json:"frags_reused"`
-	FragsAdded   int    `json:"frags_added"`
-	FragsRemoved int    `json:"frags_removed"`
-	ResolvedSCCs int    `json:"resolved_sccs"`
-	DirtyVars    int    `json:"dirty_vars"`
-	Hits         int    `json:"hits"`
-	Fallbacks    int    `json:"fallbacks"`
 }
 
 type jsonTimings struct {
@@ -216,19 +199,6 @@ func (r *Result) JSON() ([]byte, error) {
 				Workers:   r.Solver.Workers,
 				CCRegions: r.Solver.CCRegions,
 			},
-		}
-		if d := r.Delta; d != nil {
-			out.Solver.Delta = &jsonDelta{
-				Applied:      d.Applied,
-				Fallback:     d.Fallback,
-				FragsReused:  d.FragsReused,
-				FragsAdded:   d.FragsAdded,
-				FragsRemoved: d.FragsRemoved,
-				ResolvedSCCs: d.ResolvedSCCs,
-				DirtyVars:    d.DirtyVars,
-				Hits:         r.Solver.DeltaHits,
-				Fallbacks:    r.Solver.DeltaFallbacks,
-			}
 		}
 	}
 	return json.MarshalIndent(out, "", "  ")

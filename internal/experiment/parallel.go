@@ -10,6 +10,7 @@ package experiment
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"time"
 
 	"repro/internal/benchgen"
@@ -113,6 +114,12 @@ func MeasureParallel(lines int, seed int64, rounds int, jobsList []int) (Paralle
 		})
 	}
 	return out, nil
+}
+
+// median sorts ds in place and returns its middle element.
+func median(ds []time.Duration) time.Duration {
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	return ds[len(ds)/2]
 }
 
 func countLines(s string) int {

@@ -27,8 +27,7 @@ func TestRecorderDecideReasons(t *testing.T) {
 		{Sample{Forced: true}, []string{"forced"}},
 		{Sample{Err: true}, []string{"error"}},
 		{Sample{Shed: true}, []string{"shed"}},
-		{Sample{Fallback: true}, []string{"fallback"}},
-		{Sample{Err: true, Fallback: true}, []string{"error", "fallback"}},
+		{Sample{Err: true, Shed: true}, []string{"error", "shed"}},
 		{Sample{}, nil},
 	}
 	for _, c := range cases {
@@ -186,8 +185,8 @@ func TestJournalSlogBridges(t *testing.T) {
 	j.SetMirror(raw)
 
 	// Append mirrors to slog.
-	j.Append("session_evict", "warn", "session evicted", "key", "abc")
-	if out := buf.String(); !strings.Contains(out, "session evicted") || !strings.Contains(out, "event=session_evict") {
+	j.Append("cache_evict", "warn", "entry evicted", "key", "abc")
+	if out := buf.String(); !strings.Contains(out, "entry evicted") || !strings.Contains(out, "event=cache_evict") {
 		t.Fatalf("mirror output missing event: %q", out)
 	}
 

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -37,9 +38,9 @@ func getJSON(t *testing.T, url string, out any) *http.Response {
 }
 
 // TestFlightRecorderRetainsWithoutOptIn is the acceptance criterion:
-// a request that errors, and a request whose delta session fell back
-// cold, are retrievable at /v1/traces/<id> without the client having
-// passed ?trace=1.
+// a request that errors, and a successful request among the first in
+// its latency bucket, are retrievable at /v1/traces/<id> without the
+// client having passed ?trace=1.
 func TestFlightRecorderRetainsWithoutOptIn(t *testing.T) {
 	ts := httptest.NewServer(New(Config{}))
 	defer ts.Close()
@@ -69,21 +70,22 @@ func TestFlightRecorderRetainsWithoutOptIn(t *testing.T) {
 		t.Fatalf("error request's trace not retained: status %d", tr.StatusCode)
 	}
 
-	// A session request whose solve fell back cold (the priming
-	// first-solve) is retained, and its trace carries pipeline spans.
+	// A successful request is retained by the slow policy (the first
+	// SlowestPerBucket requests of every latency bucket are kept), and
+	// its trace carries pipeline spans.
 	r2, _ := postAnalyze(t, ts, sessionBody("flight", prog))
 	if r2.Header.Get("X-Cache") != "session" {
 		t.Fatalf("X-Cache = %q, want session", r2.Header.Get("X-Cache"))
 	}
-	fbID := r2.Header.Get("X-Trace-Id")
-	tr2, err := http.Get(ts.URL + "/v1/traces/" + fbID)
+	okID := r2.Header.Get("X-Trace-Id")
+	tr2, err := http.Get(ts.URL + "/v1/traces/" + okID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(tr2.Body)
 	tr2.Body.Close()
 	if tr2.StatusCode != http.StatusOK {
-		t.Fatalf("fallback request's trace not retained: status %d", tr2.StatusCode)
+		t.Fatalf("successful request's trace not retained: status %d", tr2.StatusCode)
 	}
 	if !strings.Contains(string(body), "driver.solve") {
 		t.Errorf("retained trace missing pipeline spans:\n%.300s", body)
@@ -92,8 +94,8 @@ func TestFlightRecorderRetainsWithoutOptIn(t *testing.T) {
 	// The retention shows up in the counters.
 	var intro Introspection
 	getJSON(t, ts.URL+"/v1/introspect", &intro)
-	if intro.Retention.Admitted == 0 || intro.Retention.ByReason["error"] == 0 || intro.Retention.ByReason["fallback"] == 0 {
-		t.Errorf("retention counters = %+v, want error and fallback matches", intro.Retention.RecorderStats)
+	if intro.Retention.Admitted == 0 || intro.Retention.ByReason["error"] == 0 || intro.Retention.ByReason["slow"] == 0 {
+		t.Errorf("retention counters = %+v, want error and slow matches", intro.Retention.RecorderStats)
 	}
 }
 
@@ -173,29 +175,33 @@ func TestTraceRingEvictionHammer(t *testing.T) {
 // monotonic sequence numbers, ?since resumes incrementally, and ?wait=1
 // long-polls until a new event arrives.
 func TestEventsEndpoint(t *testing.T) {
-	ts := httptest.NewServer(New(Config{}))
+	// A 1ns slow-request threshold makes every analyze request journal
+	// its slow-request warning.
+	ts := httptest.NewServer(New(Config{
+		SlowRequest: time.Nanosecond,
+		Logger:      slog.New(slog.NewTextHandler(io.Discard, nil)),
+	}))
 	defer ts.Close()
 
-	// A session's priming solve journals a delta_fallback event.
-	postAnalyze(t, ts, sessionBody("ev", prog))
+	resp, _ := postAnalyze(t, ts, analyzeBody(map[string]string{"p.c": prog}))
+	traceID := resp.Header.Get("X-Trace-Id")
 
 	var ev EventsResponse
 	getJSON(t, ts.URL+"/v1/events", &ev)
 	if len(ev.Events) == 0 {
-		t.Fatal("no events after a session fallback")
+		t.Fatal("no events after a slow request")
 	}
-	var fallback *string
+	slow := false
 	for i, e := range ev.Events {
 		if i > 0 && e.Seq <= ev.Events[i-1].Seq {
 			t.Fatalf("sequence not monotonic: %+v", ev.Events)
 		}
-		if e.Type == "delta_fallback" {
-			r := e.Attrs["reason"]
-			fallback = &r
+		if e.Message == "slow analyze request" && e.Level == "warn" && e.Attrs["trace_id"] == traceID {
+			slow = true
 		}
 	}
-	if fallback == nil || *fallback != "first-solve" {
-		t.Fatalf("missing delta_fallback event with reason first-solve: %+v", ev.Events)
+	if !slow {
+		t.Fatalf("missing slow-request event for trace %s: %+v", traceID, ev.Events)
 	}
 	if ev.Next != ev.Events[len(ev.Events)-1].Seq {
 		t.Fatalf("next = %d, want last seq %d", ev.Next, ev.Events[len(ev.Events)-1].Seq)
@@ -216,7 +222,7 @@ func TestEventsEndpoint(t *testing.T) {
 		done <- ev3
 	}()
 	time.Sleep(20 * time.Millisecond) // let the poller park
-	postAnalyze(t, ts, sessionBody("ev2", prog))
+	postAnalyze(t, ts, analyzeBody(map[string]string{"p2.c": prog}))
 	select {
 	case ev3 := <-done:
 		if len(ev3.Events) == 0 {
@@ -238,35 +244,21 @@ func TestEventsEndpoint(t *testing.T) {
 	}
 }
 
-// TestIntrospectEndpoint checks /v1/introspect exposes retained
-// sessions with their last-run stats, worker state, and SLO burn rates.
+// TestIntrospectEndpoint checks /v1/introspect exposes cache
+// occupancy, worker state, and SLO burn rates.
 func TestIntrospectEndpoint(t *testing.T) {
 	ts := httptest.NewServer(New(Config{MaxConcurrent: 3}))
 	defer ts.Close()
 
-	postAnalyze(t, ts, sessionBody("intro", prog))
-	postAnalyze(t, ts, sessionBody("intro", prog+"\nint g(int *q) { return deref(q); }\n"))
+	postAnalyze(t, ts, analyzeBody(map[string]string{"p.c": prog}))
 
 	var intro Introspection
 	getJSON(t, ts.URL+"/v1/introspect", &intro)
 	if intro.Workers.MaxConcurrent != 3 {
 		t.Errorf("max_concurrent = %d, want 3", intro.Workers.MaxConcurrent)
 	}
-	if len(intro.Sessions) != 1 {
-		t.Fatalf("sessions = %+v, want one", intro.Sessions)
-	}
-	last := intro.Sessions[0].Last
-	if last == nil || last.Runs != 2 {
-		t.Fatalf("session snapshot = %+v, want 2 runs", last)
-	}
-	if last.Solver.Vars == 0 {
-		t.Errorf("session snapshot missing solver stats: %+v", last)
-	}
-	if !last.Delta.Applied {
-		t.Errorf("second run's delta should have applied: %+v", last.Delta)
-	}
-	if intro.Caches.Session.Entries != 1 {
-		t.Errorf("session cache entries = %d, want 1", intro.Caches.Session.Entries)
+	if intro.Caches.Result.Entries != 1 {
+		t.Errorf("result cache entries = %d, want 1", intro.Caches.Result.Entries)
 	}
 	found := false
 	for _, slo := range intro.SLOs {

@@ -14,8 +14,8 @@
 //	                    identifies the request. Every request records
 //	                    spans into the flight recorder; at request end a
 //	                    tail-retention policy decides whether the trace
-//	                    is kept (slow, failed, shed, delta-fallback, and
-//	                    sampled requests are; ?trace=1 forces it)
+//	                    is kept (slow, failed, shed, and sampled
+//	                    requests are; ?trace=1 forces it)
 //	GET  /healthz     — liveness probe
 //	GET  /metrics     — JSON counters by default: requests, cache stats,
 //	                    per-stage timing aggregates, per-analysis request
@@ -27,12 +27,11 @@
 //	                    trace-id exemplars on histogram buckets
 //	GET  /v1/traces/<id> — the Chrome trace-event JSON of a retained
 //	                    request (tail-retained or ?trace=1-forced)
-//	GET  /v1/events   — the structured event journal: session evictions,
-//	                    delta fallbacks, cache churn, slow requests.
+//	GET  /v1/events   — the structured event journal: cache churn and
+//	                    slow requests.
 //	                    ?since=<seq> resumes after a known event;
 //	                    ?wait=1 long-polls until something newer arrives
-//	GET  /v1/introspect — live server state: retained sessions with
-//	                    their last solve/delta stats, cache occupancy,
+//	GET  /v1/introspect — live server state: cache occupancy,
 //	                    worker/queue depths, retention ring and journal
 //	                    stats, SLO burn rates
 //	/debug/pprof/     — net/http/pprof profiling handlers, mounted only
@@ -99,10 +98,6 @@ type Config struct {
 	// (0 = 65536 entries / 256 MiB).
 	SummaryEntries int
 	SummaryBytes   int64
-	// SessionEntries bounds the retained delta re-solve sessions
-	// (0 = 64). Eviction drops solver state; the next request for that
-	// corpus pays one cold solve.
-	SessionEntries int
 	// EnablePprof mounts the net/http/pprof handlers under
 	// /debug/pprof/. Off by default: the endpoints expose goroutine
 	// stacks and heap contents, so they are opt-in.
@@ -167,7 +162,6 @@ type Server struct {
 	cfg       Config
 	results   *cache.ResultCache
 	summaries *cache.SummaryStore
-	sessions  *cache.SessionStore
 	sem       chan struct{}
 	mux       *http.ServeMux
 	start     time.Time
@@ -185,13 +179,6 @@ type Server struct {
 	stageHist [numStages]*obs.Histogram // per-stage latency, seconds
 	reqHist   map[string]*obs.Histogram // end-to-end latency by cache hit/miss/session
 	solver    [8]*obs.Counter           // summed solver condensation + parallel-execution counters
-
-	// Delta re-solve aggregates over session requests that reached the
-	// solver: hits took the incremental path, fallbacks re-solved cold.
-	deltaHits      *obs.Counter
-	deltaFallbacks *obs.Counter
-	deltaSCCs      *obs.Counter   // components re-solved on delta hits
-	deltaDirty     *obs.Histogram // dirty-region size (variables) per hit
 
 	// perAnalysis is keyed by registered analysis name and fully
 	// populated at New — the map is never written afterwards, so
@@ -244,9 +231,6 @@ func New(cfg Config) *Server {
 	if cfg.SummaryBytes == 0 {
 		cfg.SummaryBytes = 256 << 20
 	}
-	if cfg.SessionEntries == 0 {
-		cfg.SessionEntries = 64
-	}
 	if cfg.TraceEntries == 0 {
 		cfg.TraceEntries = 32
 	}
@@ -266,7 +250,6 @@ func New(cfg Config) *Server {
 		cfg:         cfg,
 		results:     cache.NewResultCache(cfg.ResultEntries, cfg.ResultBytes),
 		summaries:   cache.NewSummaryStore(cfg.SummaryEntries, cfg.SummaryBytes),
-		sessions:    cache.NewSessionStore(cfg.SessionEntries),
 		sem:         make(chan struct{}, cfg.MaxConcurrent),
 		mux:         http.NewServeMux(),
 		start:       time.Now(),
@@ -281,10 +264,6 @@ func New(cfg Config) *Server {
 			SampleEvery:      cfg.RetainSample,
 		}),
 	}
-	s.sessions.OnEvict(func(key string) {
-		s.journal.Append("session_evict", "warn", "delta session evicted; next request pays a cold solve",
-			"key", shortKey(key))
-	})
 	s.results.OnEvict(func(k cache.Key) {
 		s.journal.Append("cache_evict", "info", "result-cache entry evicted",
 			"cache", "result", "key", fmt.Sprintf("%x", k[:6]))
@@ -327,7 +306,6 @@ func (s *Server) registerMetrics() {
 	}{
 		{"result", s.results.Stats},
 		{"summary", s.summaries.Stats},
-		{"session", s.sessions.Stats},
 	} {
 		stats := c.stats
 		lbl := obs.L("cache", c.name)
@@ -357,16 +335,6 @@ func (s *Server) registerMetrics() {
 		s.solver[i] = r.NewCounter("cquald_solver_"+name+"_total",
 			"Summed solver counter over completed analyses (see constraint.SolveStats).")
 	}
-
-	s.deltaHits = r.NewCounter("cquald_delta_hits_total",
-		"Session solves that took the incremental delta path.")
-	s.deltaFallbacks = r.NewCounter("cquald_delta_fallbacks_total",
-		"Session solves that fell back to a cold solve.")
-	s.deltaSCCs = r.NewCounter("cquald_delta_resolved_sccs_total",
-		"Condensed components re-solved across delta hits.")
-	s.deltaDirty = r.NewHistogram("cquald_delta_dirty_vars",
-		"Dirty-region size in variables per delta hit.",
-		[]float64{1, 10, 100, 1_000, 10_000, 100_000, 1_000_000})
 
 	for _, name := range analysis.Names() {
 		s.perAnalysis[name] = &analysisCounters{
@@ -432,14 +400,6 @@ func (s *Server) registerMetrics() {
 // endpointNames enumerates the instrumented endpoints, in registration
 // order.
 var endpointNames = []string{"analyze", "metrics", "traces", "events", "introspect"}
-
-// shortKey abbreviates a session key for journal events.
-func shortKey(key string) string {
-	if len(key) > 12 {
-		return key[:12]
-	}
-	return key
-}
 
 // statusWriter captures the response status for RED accounting and the
 // retention decision. A handler that never calls WriteHeader answered
@@ -515,14 +475,11 @@ type AnalyzeRequest struct {
 	// Preludes carry qualifier prelude texts declaring library seeds
 	// and sinks for the selected analyses.
 	Preludes []PreludeJSON `json:"preludes,omitempty"`
-	// Session names a corpus for delta re-solve: requests carrying the
-	// same session id (under the same mode, analyses, and preludes) share
-	// a retained constraint-graph session, and each solve re-derives only
-	// the region downstream of changed constraint fragments. The response
-	// body gains a solver.delta block and X-Cache reports "session"; the
-	// result cache is bypassed, since a session report depends on the
-	// session's history, not just the request. Results remain
-	// byte-identical to a cold run modulo that block.
+	// Session names an editor's corpus: a request carrying one runs the
+	// normal cold pipeline but bypasses the result cache in both
+	// directions (a save is analyzed afresh and never stored), and
+	// X-Cache reports "session". The body is byte-identical to a
+	// sessionless reply over the same sources.
 	Session string `json:"session,omitempty"`
 }
 
@@ -573,7 +530,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// The flight recorder is always on: every request records spans, and
 	// at request end the tail-retention policy decides whether the
 	// exported Chrome trace is kept at /v1/traces/<id> — slow, failed,
-	// shed, delta-fallback, and 1-in-K sampled requests are; ?trace=1
+	// shed, and 1-in-K sampled requests are; ?trace=1
 	// forces it. The response body stays byte-identical to the
 	// pre-recorder contract — only the header and the ring change.
 	var tracer *obs.Tracer
@@ -649,20 +606,14 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	s.countRequests(cfg.AnalysisNames())
 
-	// Session requests bypass the result cache in both directions: the
-	// retained session must observe every source version to stay
-	// current, and a session report's delta block depends on session
-	// history, so caching it under (config, sources) would replay a
-	// stale diff.
-	var sess *driver.Session
-	if req.Session != "" {
-		sess, _ = s.sessions.GetOrCreate(cache.SessionKey(cfg, req.Session),
-			func() *driver.Session { return driver.NewSession(cfg) })
-	}
+	// Session requests bypass the result cache in both directions: an
+	// editor's saves are mostly one-off versions, so storing them would
+	// only evict reports that other clients repeat.
+	session := req.Session != ""
 
 	fin.sources = len(sources)
 	key := cache.RequestKey(cfg, sources)
-	if sess == nil {
+	if !session {
 		if report, ok := s.results.Get(key); ok {
 			s.writeReport(w, report, "hit")
 			fin.cacheState = "hit"
@@ -691,13 +642,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var res *driver.Result
-	var err error
-	if sess != nil {
-		res, err = sess.RunDelta(ctx, sources)
-	} else {
-		res, err = driver.RunContext(ctx, cfg, sources)
-	}
+	res, err := driver.RunContext(ctx, cfg, sources)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			s.deadline(w, err)
@@ -714,9 +659,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.analyses.Inc()
 	s.countDiagnostics(res.Diagnostics)
 	s.recordTimings(res.Timings, res.Solver)
-	if sess != nil {
-		s.recordDelta(traceID, res.Delta)
-		fin.fallback = res.Delta != nil && !res.Delta.Applied
+	if session {
 		s.writeReport(w, report, "session")
 		fin.cacheState = "session"
 		return
@@ -726,33 +669,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	fin.cacheState = "miss"
 }
 
-// recordDelta aggregates one session solve's delta outcome. A nil stats
-// pointer means the run failed before the solver (front-end errors);
-// those runs move no delta counter. Fallbacks land in the event journal
-// with their reason code — they are exactly the "why was this request
-// suddenly slow" moments an operator greps for.
-func (s *Server) recordDelta(traceID string, d *constraint.DeltaStats) {
-	if d == nil {
-		return
-	}
-	if d.Applied {
-		s.deltaHits.Inc()
-		s.deltaSCCs.Add(uint64(d.ResolvedSCCs))
-		s.deltaDirty.Observe(float64(d.DirtyVars))
-	} else {
-		s.deltaFallbacks.Inc()
-		s.journal.Append("delta_fallback", "info", "session solve fell back cold",
-			"reason", d.Fallback, "trace_id", traceID)
-	}
-}
-
 // finishState carries what handleAnalyze learned about the request into
-// the deferred finishAnalyze: whether tracing was forced, whether the
-// delta path fell back, and the cache outcome (empty on failed
-// requests, which never reach a report).
+// the deferred finishAnalyze: whether tracing was forced and the cache
+// outcome (empty on failed requests, which never reach a report).
 type finishState struct {
 	forced     bool
-	fallback   bool
 	cacheState string
 	sources    int
 }
@@ -772,11 +693,10 @@ func (s *Server) finishAnalyze(w http.ResponseWriter, r *http.Request, tracer *o
 	exemplar := ""
 	if tracer != nil { // nil only under Config.DisableRecorder (bench baseline)
 		retain, reasons := s.recorder.Decide(obs.Sample{
-			Seconds:  dur.Seconds(),
-			Err:      status >= 400 && !shed,
-			Shed:     shed,
-			Fallback: fin.fallback,
-			Forced:   fin.forced,
+			Seconds: dur.Seconds(),
+			Err:     status >= 400 && !shed,
+			Shed:    shed,
+			Forced:  fin.forced,
 		})
 		if retain {
 			var buf bytes.Buffer
@@ -878,7 +798,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/v1/traces/")
 	data, ok := s.recorder.Get(id)
 	if !ok {
-		s.fail(w, http.StatusNotFound, "no retained trace %q (the flight recorder retains slow, failed, shed, fallback, sampled, and ?trace=1 requests, bounded to the most recent %d)", id, s.cfg.TraceEntries)
+		s.fail(w, http.StatusNotFound, "no retained trace %q (the flight recorder retains slow, failed, shed, sampled, and ?trace=1 requests, bounded to the most recent %d)", id, s.cfg.TraceEntries)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -948,7 +868,6 @@ type Introspection struct {
 	UptimeMS  float64             `json:"uptime_ms"`
 	Workers   WorkerIntrospect    `json:"workers"`
 	Caches    CacheIntrospect     `json:"caches"`
-	Sessions  []SessionIntrospect `json:"sessions"`
 	Retention RetentionIntrospect `json:"retention"`
 	Journal   obs.JournalStats    `json:"journal"`
 	SLOs      []SLOIntrospect     `json:"slos"`
@@ -968,19 +887,10 @@ type WorkerIntrospect struct {
 	SolveJobs int `json:"solve_jobs"`
 }
 
-// CacheIntrospect groups the three cache stat blocks.
+// CacheIntrospect groups the two cache stat blocks.
 type CacheIntrospect struct {
 	Result  cache.Stats `json:"result"`
 	Summary cache.Stats `json:"summary"`
-	Session cache.Stats `json:"session"`
-}
-
-// SessionIntrospect is one retained delta session: its (abbreviated)
-// key and the lock-free snapshot of its last completed run.
-type SessionIntrospect struct {
-	Key string `json:"key"`
-	// Last is nil for a session created but never run.
-	Last *driver.SessionSnapshot `json:"last,omitempty"`
 }
 
 // RetentionIntrospect is the flight recorder's ring state.
@@ -1001,14 +911,8 @@ type SLOIntrospect struct {
 
 // handleIntrospect dumps live server state as JSON. Every read is an
 // atomic load or a short-lived cache-lock copy; an in-flight analysis
-// is never blocked by an introspection poll (session state comes from
-// lock-free snapshots, not the sessions' run locks).
+// is never blocked by an introspection poll.
 func (s *Server) handleIntrospect(w http.ResponseWriter, r *http.Request) {
-	entries := s.sessions.Entries()
-	sess := make([]SessionIntrospect, len(entries))
-	for i, e := range entries {
-		sess[i] = SessionIntrospect{Key: shortKey(e.Key), Last: e.Session.Snapshot()}
-	}
 	slos := make([]SLOIntrospect, 0, len(s.cfg.SLOs))
 	for _, ep := range endpointNames {
 		em := s.endpoints[ep]
@@ -1038,9 +942,7 @@ func (s *Server) handleIntrospect(w http.ResponseWriter, r *http.Request) {
 		Caches: CacheIntrospect{
 			Result:  s.results.Stats(),
 			Summary: s.summaries.Stats(),
-			Session: s.sessions.Stats(),
 		},
-		Sessions:  sess,
 		Retention: RetentionIntrospect{RecorderStats: s.recorder.Stats(), Traces: s.recorder.Retained()},
 		Journal:   s.journal.Stats(),
 		SLOs:      slos,
@@ -1061,10 +963,8 @@ type Metrics struct {
 	InFlight     int64        `json:"in_flight"`
 	ResultCache  cache.Stats  `json:"result_cache"`
 	SummaryCache cache.Stats  `json:"summary_cache"`
-	Sessions     cache.Stats  `json:"sessions"`
 	Stages       StageTotals  `json:"stages"`
 	Solver       SolverTotals `json:"solver"`
-	Delta        DeltaTotals  `json:"delta"`
 	// PerAnalysis breaks request and diagnostic counts down by qualifier
 	// analysis ("const", "taint", ...).
 	PerAnalysis map[string]AnalysisMetrics `json:"per_analysis"`
@@ -1112,16 +1012,6 @@ type SolverTotals struct {
 	CCRegions uint64 `json:"cc_regions"`
 }
 
-// DeltaTotals sums the delta re-solve outcomes over session requests
-// that reached the solver. DirtyVars is the summed dirty-region size
-// over hits — with Hits it gives the mean incremental region.
-type DeltaTotals struct {
-	Hits         uint64 `json:"hits"`
-	Fallbacks    uint64 `json:"fallbacks"`
-	ResolvedSCCs uint64 `json:"resolved_sccs"`
-	DirtyVars    uint64 `json:"dirty_vars"`
-}
-
 // Snapshot returns the current metrics. Every read is an atomic load;
 // a snapshot taken during a storm of analyses costs the analyses
 // nothing.
@@ -1146,14 +1036,7 @@ func (s *Server) Snapshot() Metrics {
 		InFlight:     s.inFlight.Load(),
 		ResultCache:  s.results.Stats(),
 		SummaryCache: s.summaries.Stats(),
-		Sessions:     s.sessions.Stats(),
 		PerAnalysis:  per,
-		Delta: DeltaTotals{
-			Hits:         s.deltaHits.Value(),
-			Fallbacks:    s.deltaFallbacks.Value(),
-			ResolvedSCCs: s.deltaSCCs.Value(),
-			DirtyVars:    uint64(s.deltaDirty.Sum()),
-		},
 		Solver: SolverTotals{
 			Vars:          s.solver[0].Value(),
 			Constraints:   s.solver[1].Value(),

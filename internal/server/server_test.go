@@ -98,6 +98,9 @@ func TestAnalyzeMissThenHit(t *testing.T) {
 // server's pool sizes: with the default config (0 = GOMAXPROCS), an
 // oversized solve_jobs or jobs runs the server default, so the same
 // request without them is a result-cache hit on the first one's entry.
+// A smaller jobs value is honored but still hits: reports are
+// byte-identical at every constraint-generation pool size, so jobs is
+// not part of the cache key.
 func TestAnalyzePoolSizesCapped(t *testing.T) {
 	ts := httptest.NewServer(New(Config{}))
 	defer ts.Close()
@@ -117,6 +120,17 @@ func TestAnalyzePoolSizesCapped(t *testing.T) {
 	}
 	if !bytes.Equal(d1, d2) {
 		t.Fatalf("cache hit not byte-identical:\n%s\n---\n%s", d1, d2)
+	}
+	serial, _ := json.Marshal(AnalyzeRequest{
+		Sources: []SourceJSON{{Path: "prog.c", Text: prog}},
+		Jobs:    1,
+	})
+	r3, d3 := postAnalyze(t, ts, string(serial))
+	if r3.StatusCode != 200 || r3.Header.Get("X-Cache") != "hit" {
+		t.Fatalf("jobs=1 POST: status %d, X-Cache %q; want 200 hit", r3.StatusCode, r3.Header.Get("X-Cache"))
+	}
+	if !bytes.Equal(d1, d3) {
+		t.Fatalf("jobs=1 hit not byte-identical:\n%s\n---\n%s", d1, d3)
 	}
 }
 

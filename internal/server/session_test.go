@@ -16,11 +16,14 @@ int probe(const char *s) { return strlen(s); }
 void use(char *buf) { sink(buf); probe(buf); }
 `
 
-const sessV2 = `
+// sessInserted is sessV1 with one function inserted near the top, so
+// every later function's variables are numbered differently.
+const sessInserted = `
 int strlen(const char *s);
+int first(char *s) { return *s; }
 void sink(char *p) { *p = 0; }
 int probe(const char *s) { return strlen(s); }
-void use(char *buf) { sink(buf); probe(buf); probe(buf); }
+void use(char *buf) { sink(buf); probe(buf); }
 `
 
 func sessionBody(session, src string) string {
@@ -31,170 +34,83 @@ func sessionBody(session, src string) string {
 	return string(b)
 }
 
-// deltaBlock extracts the solver.delta block of a report.
-func deltaBlock(t *testing.T, report []byte) map[string]any {
-	t.Helper()
-	var m struct {
-		Solver struct {
-			Delta map[string]any `json:"delta"`
-		} `json:"solver"`
-	}
-	if err := json.Unmarshal(report, &m); err != nil {
-		t.Fatal(err)
-	}
-	return m.Solver.Delta
-}
-
-// stripDelta removes the one block a session report legitimately adds
-// over a cold report, so the remainder can be compared byte-for-byte
-// (modulo timings, which stripMS handles).
-func stripDelta(t *testing.T, report []byte) string {
-	t.Helper()
-	var m map[string]any
-	if err := json.Unmarshal(report, &m); err != nil {
-		t.Fatal(err)
-	}
-	if s, ok := m["solver"].(map[string]any); ok {
-		delete(s, "delta")
-	}
-	out, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return stripMS(string(out))
-}
-
-// TestAnalyzeSession drives one corpus through v1 → v2 → v1 with a
-// session id and checks the retained session against cold runs of the
-// same sources: identical reports modulo the delta block, a delta hit
-// on the edits, and the counters visible in /metrics.
+// TestAnalyzeSession drives one session id through three saves — the
+// first save, a line inserted near the top, and that line deleted — and
+// holds every reply to the session contract: X-Cache reports
+// "session", and the body is byte-equal, outside timings, to a
+// sessionless reply over the same sources. Session traffic neither
+// reads nor fills the result cache.
 func TestAnalyzeSession(t *testing.T) {
 	ts := httptest.NewServer(New(Config{Jobs: 1}))
 	defer ts.Close()
 
-	var reports [][]byte
-	for round, src := range []string{sessV1, sessV2, sessV1} {
-		resp, data := postAnalyze(t, ts, sessionBody("corpus-a", src))
+	for round, src := range []string{sessV1, sessInserted, sessV1} {
+		resp, got := postAnalyze(t, ts, sessionBody("corpus-a", src))
 		if resp.StatusCode != 200 || resp.Header.Get("X-Cache") != "session" {
 			t.Fatalf("round %d: status %d, X-Cache %q; want 200 session",
 				round, resp.StatusCode, resp.Header.Get("X-Cache"))
 		}
-		d := deltaBlock(t, data)
-		if d == nil {
-			t.Fatalf("round %d: session response has no solver.delta block:\n%s", round, data)
-		}
-		if round == 0 {
-			if d["applied"] != false || d["fallback"] != "first-solve" {
-				t.Fatalf("round 0 delta: %v", d)
-			}
-		} else if d["applied"] != true {
-			t.Fatalf("round %d should be a delta hit: %v", round, d)
-		}
-		reports = append(reports, data)
-	}
-
-	// Each session response must match a sessionless run of the same
-	// sources once the delta block is stripped.
-	for round, src := range []string{sessV1, sessV2, sessV1} {
-		resp, cold := postAnalyze(t, ts, analyzeBody(map[string]string{"prog.c": src}))
+		resp, want := postAnalyze(t, ts, analyzeBody(map[string]string{"prog.c": src}))
 		if resp.StatusCode != 200 {
-			t.Fatalf("cold round %d: status %d", round, resp.StatusCode)
+			t.Fatalf("round %d: sessionless status %d", round, resp.StatusCode)
 		}
-		if got, want := stripDelta(t, reports[round]), stripDelta(t, cold); got != want {
-			t.Fatalf("round %d: session report differs from cold:\n%s\n---\n%s", round, got, want)
+		if g, w := stripMS(string(got)), stripMS(string(want)); g != w {
+			t.Fatalf("round %d: session reply differs from sessionless:\n%s\n---\n%s", round, g, w)
 		}
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
+	var m Metrics
+	getJSON(t, ts.URL+"/metrics", &m)
+	// The sessionless replies are the cache's only traffic: two distinct
+	// source versions missed and were stored, the repeat of the first
+	// hit — and the third session request, sent while that report was
+	// cached, did not read it.
+	if m.ResultCache.Entries != 2 || m.ResultCache.Misses != 2 || m.ResultCache.Hits != 1 {
+		t.Fatalf("result cache = %+v; want 2 entries, 2 misses, 1 hit", m.ResultCache)
+	}
+	if m.Analyses != 5 {
+		t.Fatalf("analyses = %d; want 5 (three session saves, two sessionless misses)", m.Analyses)
+	}
+	// Session replies keep their own latency series, so editor saves
+	// stay separable from cold misses.
+	resp, err := http.Get(ts.URL + "/metrics?format=prometheus")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m Metrics
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Delta.Hits != 2 || m.Delta.Fallbacks != 1 {
-		t.Fatalf("delta totals: %+v; want 2 hits, 1 fallback", m.Delta)
-	}
-	if m.Sessions.Entries != 1 || m.Sessions.Misses != 1 || m.Sessions.Hits != 2 {
-		t.Fatalf("session store stats: %+v", m.Sessions)
-	}
-	// Session traffic must not leak into the result cache: the cold
-	// verification runs (two distinct source versions) are its only
-	// entries.
-	if m.ResultCache.Entries != 2 {
-		t.Fatalf("result cache entries: %d; want 2 (cold runs only)", m.ResultCache.Entries)
-	}
-
-	promResp, err := http.Get(ts.URL + "/metrics?format=prometheus")
+	prom, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer promResp.Body.Close()
-	prom, err := io.ReadAll(promResp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"cquald_delta_hits_total 2",
-		"cquald_delta_fallbacks_total 1",
-		`cquald_cache_entries{cache="session"} 1`,
-		`cquald_delta_dirty_vars_count 2`,
-	} {
-		if !strings.Contains(string(prom), want) {
-			t.Fatalf("prometheus exposition missing %q:\n%s", want, prom)
-		}
+	if want := `cquald_request_seconds_count{cache="session"} 3`; !strings.Contains(string(prom), want) {
+		t.Fatalf("prometheus exposition missing %q:\n%s", want, prom)
 	}
 }
 
-// TestAnalyzeSessionIsolation pins the session key: two corpus ids
-// never share state, and the same id under a different mode is a
-// different session.
+// TestAnalyzeSessionIsolation pins that a session id carries no state:
+// the same id under another mode answers for that mode, and another id
+// over the same sources answers the same bytes.
 func TestAnalyzeSessionIsolation(t *testing.T) {
 	ts := httptest.NewServer(New(Config{Jobs: 1}))
 	defer ts.Close()
 
-	if _, data := postAnalyze(t, ts, sessionBody("corpus-a", sessV1)); deltaBlock(t, data)["fallback"] != "first-solve" {
-		t.Fatalf("corpus-a round 0: %v", deltaBlock(t, data))
-	}
-	// A different corpus id must start from its own first solve.
-	if _, data := postAnalyze(t, ts, sessionBody("corpus-b", sessV1)); deltaBlock(t, data)["fallback"] != "first-solve" {
-		t.Fatalf("corpus-b must not reuse corpus-a's session: %v", deltaBlock(t, data))
-	}
-	// Same id, different mode: also a fresh session.
+	_, mono := postAnalyze(t, ts, sessionBody("corpus-a", sessV1))
 	b, _ := json.Marshal(AnalyzeRequest{
 		Sources: []SourceJSON{{Path: "prog.c", Text: sessV1}},
 		Session: "corpus-a",
 		Poly:    true,
 	})
-	if _, data := postAnalyze(t, ts, string(b)); deltaBlock(t, data)["fallback"] != "first-solve" {
-		t.Fatalf("poly corpus-a must not reuse mono corpus-a's session: %v", deltaBlock(t, data))
+	_, poly := postAnalyze(t, ts, string(b))
+	if !strings.Contains(string(mono), `"mode": "monomorphic"`) || !strings.Contains(string(poly), `"mode": "polymorphic"`) {
+		t.Fatalf("session replies do not follow the request mode:\n%s\n---\n%s", mono, poly)
 	}
-}
-
-// TestSessionEviction checks the LRU bound: with room for one session,
-// alternating corpora re-solve cold every time.
-func TestSessionEviction(t *testing.T) {
-	ts := httptest.NewServer(New(Config{Jobs: 1, SessionEntries: 1}))
-	defer ts.Close()
-
-	for round, corpus := range []string{"a", "b", "a"} {
-		_, data := postAnalyze(t, ts, sessionBody(corpus, sessV1))
-		if d := deltaBlock(t, data); d["fallback"] != "first-solve" {
-			t.Fatalf("round %d (%s): evicted corpus should cold-solve: %v", round, corpus, d)
-		}
+	b, _ = json.Marshal(AnalyzeRequest{Sources: []SourceJSON{{Path: "prog.c", Text: sessV1}}, Poly: true})
+	if _, want := postAnalyze(t, ts, string(b)); stripMS(string(poly)) != stripMS(string(want)) {
+		t.Fatalf("poly session reply differs from sessionless:\n%s\n---\n%s", poly, want)
 	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var m Metrics
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Sessions.Entries != 1 || m.Sessions.Evictions != 2 {
-		t.Fatalf("session store stats: %+v; want 1 entry, 2 evictions", m.Sessions)
+	resp, other := postAnalyze(t, ts, sessionBody("corpus-b", sessV1))
+	if resp.Header.Get("X-Cache") != "session" || stripMS(string(other)) != stripMS(string(mono)) {
+		t.Fatalf("corpus-b reply (X-Cache %q) differs from corpus-a's:\n%s\n---\n%s",
+			resp.Header.Get("X-Cache"), other, mono)
 	}
 }
